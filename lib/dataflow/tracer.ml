@@ -15,7 +15,9 @@
 
     with reference counting from [ruleExec] rows (§2.1.3): an entry is
     discarded when the last referring [ruleExec] row is removed or
-    times out.
+    times out. The contents memo follows the same rule: a tuple's
+    memoized contents live while its [tupleTable] row or a referring
+    [ruleExec] row lives.
 
     Pipelined execution (§2.1.2) is handled by keeping multiple tracer
     records per rule, each associated with a contiguous interval of
@@ -135,7 +137,9 @@ let create ?(config = default_config) ~addr ~now ~charge () =
     }
   in
   (* Reference counting: when a ruleExec row disappears (expiry,
-     eviction or deletion), unreference its cause and effect tuples. *)
+     eviction or deletion), unreference its cause and effect tuples.
+     The last reference takes the tupleTable row with it, found by its
+     primary key (the tuple id). *)
   Store.Table.subscribe rule_exec (function
     | Store.Table.Delete row -> (
         match Tuple.fields row with
@@ -147,17 +151,22 @@ let create ?(config = default_config) ~addr ~now ~charge () =
                   | Some n when n <= 1 ->
                       Hashtbl.remove t.refs id;
                       Hashtbl.remove t.contents id;
-                      let _ =
-                        Store.Table.delete_where t.tuple_table ~now:(t.now ()) (fun tu ->
-                            Value.equal (Tuple.field tu 2) (Value.VInt id))
-                      in
-                      ()
+                      let key = Tuple.make "tupleTable" [ Value.VAddr t.addr; Value.VInt id ] in
+                      ignore (Store.Table.delete t.tuple_table ~now:(t.now ()) key)
                   | Some n -> Hashtbl.replace t.refs id (n - 1)
                   | None -> ())
               | _ -> ()
             in
             unref cause;
             unref effect
+        | _ -> ())
+    | Store.Table.Insert _ | Store.Table.Refresh _ -> ());
+  (* A tuple no ruleExec row refers to leaves the memo with its
+     tupleTable row (expiry or deletion). *)
+  Store.Table.subscribe tuple_table (function
+    | Store.Table.Delete row -> (
+        match Tuple.field row 2 with
+        | Value.VInt id when not (Hashtbl.mem t.refs id) -> Hashtbl.remove t.contents id
         | _ -> ())
     | Store.Table.Insert _ | Store.Table.Refresh _ -> ());
   t

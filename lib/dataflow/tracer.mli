@@ -71,7 +71,9 @@ val rule_exec_table : t -> Store.Table.t
 (** [tupleTable(localAddr, tupleID, srcAddr, srcTupleID, destAddr)]. *)
 val tuple_table : t -> Store.Table.t
 
-(** Resolve a memoized tuple id back to its contents (forensics). *)
+(** Resolve a memoized tuple id back to its contents (forensics). An
+    entry is dropped when its [tupleTable] row goes while no [ruleExec]
+    row refers to it, or when the last referring row goes. *)
 val resolve : t -> int -> Tuple.t option
 
 val live_bytes : t -> now:float -> int

@@ -2,8 +2,8 @@
     (DESIGN.md §3 substitution for the paper's 21-process testbed).
 
     Responsibilities: the virtual clock, message delivery with FIFO
-    channels, periodic-rule timers, fault injection, periodic metric
-    sampling, and on-line program installation. *)
+    channels, periodic-rule timers, fault injection, the per-node
+    soft-state expiry sweep, and on-line program installation. *)
 
 open Overlog
 
@@ -16,7 +16,10 @@ type event =
          dropped instead of aliasing into the fresh channel's sequence
          space *)
   | Timer of { addr : string; inc : int; req : Node.timer_request }
-  | Sample of { addr : string; inc : int }
+  | Sweep of { addr : string; inc : int }
+      (* once per [sweep_interval] of virtual time: expire the node's
+         soft state, so delete deltas fire on time even on tables no
+         rule reads *)
   | Callback of (unit -> unit)
       (* host-scheduled ([Engine.at]): may touch any node or the
          network tables, so in sharded mode it runs alone, sequentially,
@@ -95,7 +98,6 @@ type t = {
       (* sorted; invalidated on membership change instead of
          re-sorting on every [addrs] call *)
   mutable clock : float;
-  sample_interval : float;
   mutable trace_default : bool;
   mutable strict_install : bool;
       (* applied to every node, present and future: install-time
@@ -142,8 +144,11 @@ type t = {
 
 and installed = Src_text of string | Src_ast of Ast.program
 
+(* Virtual seconds between a node's expiry sweeps. *)
+let sweep_interval = 1.0
+
 let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.)
-    ?(sample_interval = 1.0) ?(trace = false) ?(strict_install = false)
+    ?(trace = false) ?(strict_install = false)
     ?(reliable = true) () =
   let rng = Sim.Rng.create seed in
   {
@@ -155,7 +160,6 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     inflight = Hashtbl.create 32;
     addrs_cache = None;
     clock = 0.;
-    sample_interval;
     trace_default = trace;
     strict_install;
     reliable;
@@ -471,8 +475,8 @@ let wire_node ?tracer_config ?trace t addr =
   Hashtbl.replace t.transports addr tr;
   t.addrs_cache <- None;
   schedule t
-    ~at:(t.clock +. t.sample_interval)
-    (Sample { addr; inc = incarnation t addr });
+    ~at:(t.clock +. sweep_interval)
+    (Sweep { addr; inc = incarnation t addr });
   node
 
 let add_node ?tracer_config ?trace t addr =
@@ -654,13 +658,11 @@ let handle t event =
           if not (Sim.Network.is_crashed t.network addr) then Node.fire_periodic node req;
           sched_owned t addr ~at:(now_for t addr +. req.period) (Timer { addr; inc; req })
       | _ -> ())
-  | Sample { addr; inc } -> (
+  | Sweep { addr; inc } -> (
       match node_opt t addr with
       | Some node when inc = incarnation t addr ->
-          Sim.Metrics.sample (Node.metrics node) ~now:(now_for t addr)
-            ~live_tuples:(Node.live_tuples node) ~live_bytes:(Node.live_bytes node);
-          sched_owned t addr ~at:(now_for t addr +. t.sample_interval)
-            (Sample { addr; inc })
+          Node.expire_all node;
+          sched_owned t addr ~at:(now_for t addr +. sweep_interval) (Sweep { addr; inc })
       | _ -> ())
   | Callback f -> f ()
   | Owned_callback { f; _ } -> f ()
@@ -668,7 +670,7 @@ let handle t event =
 let owner_of = function
   | Deliver { dst; _ } -> Some dst
   | Timer { addr; _ } -> Some addr
-  | Sample { addr; _ } -> Some addr
+  | Sweep { addr; _ } -> Some addr
   | Owned_callback { owner; _ } -> Some owner
   | Callback _ -> None
 
@@ -850,7 +852,7 @@ let events_handled t =
   | None -> 0
 
 (** Retire a node (churn "leave"). Pending events addressed to it
-    (deliveries, timers, samples) die silently because every handler
+    (deliveries, timers, sweeps) die silently because every handler
     re-resolves the address; the address can not be reused. All
     per-address state is purged: its transport stops, the remaining
     transports forget their channels to it, and the network's FIFO
@@ -941,7 +943,7 @@ let restart ?tracer_config ?trace t addr =
      incarnation are legitimately lost — restart is reset-not-replay;
      durability is the checkpoint's job, not the send queue's. *)
   Hashtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
-  (* Bump the incarnation: packets, timers and samples minted for the
+  (* Bump the incarnation: packets, timers and sweeps minted for the
      previous life die in [handle] instead of reaching the new one. *)
   Hashtbl.replace t.incarnations addr (incarnation t addr + 1);
   Sim.Network.recover t.network addr;

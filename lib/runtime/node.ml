@@ -266,7 +266,7 @@ let register_metrics t =
   counter "net.bytes_tx" (fun () -> float_of_int (Sim.Metrics.bytes_tx t.metrics));
   counter "net.bytes_rx" (fun () -> float_of_int (Sim.Metrics.bytes_rx t.metrics));
   (* store: catalog-wide census; live counts go through the normal
-     expiry-aware reads only inside [live_tuples] (the Sample event),
+     expiry-aware reads only inside [expire_all] (the engine's sweep),
      so these gauges stay cheap and side-effect-free *)
   gauge "store.tables" (fun () ->
       float_of_int (List.length (Store.Catalog.names t.catalog)));
@@ -536,6 +536,11 @@ let live_tuples t =
 let live_bytes t =
   let now = t.now () in
   Store.Catalog.total_bytes t.catalog ~now + Dataflow.Tracer.live_bytes t.tracer ~now
+
+(* Every size read in [live_tuples] expires its table first, so the
+   census doubles as the sweep; its table order fixes the order in
+   which due delete deltas fire. *)
+let expire_all t = ignore (live_tuples t)
 
 
 (** The node-local clock (simulation time + work offset); timestamps

@@ -133,5 +133,9 @@ val fire_periodic : t -> timer_request -> unit
 val live_tuples : t -> int
 val live_bytes : t -> int
 
+(** Expire soft state on every table, the tracer's included, firing
+    the delete deltas that are due (the engine's periodic sweep). *)
+val expire_all : t -> unit
+
 (** The node-local clock (simulation time + work offset). *)
 val local_time : t -> float

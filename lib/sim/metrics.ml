@@ -16,8 +16,6 @@ type t = {
   mutable bytes_rx : int;
   mutable tuples_created : int;
   mutable rule_executions : int;
-  mutable samples : (float * int * int) list;
-      (* (time, live tuples, live bytes), newest first *)
 }
 
 let create () =
@@ -29,7 +27,6 @@ let create () =
     bytes_rx = 0;
     tuples_created = 0;
     rule_executions = 0;
-    samples = [];
   }
 
 (* Work-unit costs, in microseconds of notional CPU. The absolute
@@ -67,9 +64,6 @@ let message_rx ?(bytes = 0) t =
 let tuple_created t = t.tuples_created <- t.tuples_created + 1
 let rule_executed t = t.rule_executions <- t.rule_executions + 1
 
-let sample t ~now ~live_tuples ~live_bytes =
-  t.samples <- (now, live_tuples, live_bytes) :: t.samples
-
 (** CPU utilization proxy over a window [t0, t1): fraction of the
     notional budget consumed. [work_at] snapshots should bracket the
     window. *)
@@ -95,7 +89,6 @@ let bytes_tx t = t.bytes_tx
 let bytes_rx t = t.bytes_rx
 let tuples_created t = t.tuples_created
 let rule_executions t = t.rule_executions
-let samples t = List.rev t.samples
 
 let mean xs =
   match xs with

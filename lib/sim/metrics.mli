@@ -1,6 +1,7 @@
 (** Per-node metric accounting: deterministic work units standing in
-    for CPU time, message/byte counters, and live-state samples. See
-    DESIGN.md §3 for the calibration against the paper's testbed. *)
+    for CPU time, message/byte counters, and the memory proxy computed
+    from a live-state census. See DESIGN.md §3 for the calibration
+    against the paper's testbed. *)
 
 type t
 
@@ -28,7 +29,6 @@ val message_tx : t -> bytes:int -> unit
 val message_rx : ?bytes:int -> t -> unit
 val tuple_created : t -> unit
 val rule_executed : t -> unit
-val sample : t -> now:float -> live_tuples:int -> live_bytes:int -> unit
 
 (** CPU utilization proxy for [work] units spent over [seconds]. *)
 val cpu_percent : work:float -> seconds:float -> float
@@ -43,7 +43,6 @@ val bytes_tx : t -> int
 val bytes_rx : t -> int
 val tuples_created : t -> int
 val rule_executions : t -> int
-val samples : t -> (float * int * int) list
 
 val mean : float list -> float
 val stddev : float list -> float

@@ -305,7 +305,8 @@ let insert t ~now tuple =
   | Refreshed -> notify t (Refresh tuple));
   result
 
-(** Delete every row whose contents equal [tuple]'s key. *)
+(** Delete the row whose primary key equals [tuple]'s, whatever its
+    other fields hold; only the key positions of [tuple] are read. *)
 let delete t ~now tuple =
   expire t ~now;
   let k = key_string t tuple in
@@ -341,9 +342,6 @@ let delete_where t ~now pred =
 let tuples t ~now =
   expire t ~now;
   List.map (fun (_, row) -> row.tuple) (rows_in_seq_order t)
-
-let fold t ~now f init =
-  List.fold_left f init (tuples t ~now)
 
 let iter t ~now f = List.iter f (tuples t ~now)
 
@@ -396,8 +394,10 @@ let probe t ~now ~positions ~values =
         |> List.map (fun row -> row.tuple)
   end
 
+(* A sum needs no row order: skip the seq sort of [tuples]. *)
 let bytes t ~now =
-  fold t ~now (fun acc tu -> acc + Tuple.size_bytes tu) 0
+  expire t ~now;
+  Hashtbl.fold (fun _ row acc -> acc + Tuple.size_bytes row.tuple) t.rows 0
 
 type stats = {
   live : int;

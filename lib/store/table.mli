@@ -44,7 +44,9 @@ val expire : t -> now:float -> unit
 val size : t -> now:float -> int
 val insert : t -> now:float -> Tuple.t -> insert_result
 
-(** Delete the row whose key and contents equal the given tuple's. *)
+(** Delete the row whose primary key equals the given tuple's, whatever
+    its other fields hold: only the key positions are read. Returns
+    whether a row was removed. *)
 val delete : t -> now:float -> Tuple.t -> bool
 
 (** Delete all rows matching the predicate; removes and notifies in
@@ -67,10 +69,11 @@ val probe : t -> now:float -> positions:int list -> values:Value.t list -> Tuple
 (** Position sets currently carrying an index (introspection/tests). *)
 val indexed_positions : t -> int list list
 
-val fold : t -> now:float -> ('a -> Tuple.t -> 'a) -> 'a -> 'a
 val iter : t -> now:float -> (Tuple.t -> unit) -> unit
 val mem : t -> now:float -> Tuple.t -> bool
 val clear : t -> unit
+
+(** Live rows' summed [Tuple.size_bytes], after expiry. *)
 val bytes : t -> now:float -> int
 
 type stats = {

@@ -69,7 +69,10 @@ let test_delete () =
   ignore (Table.insert tbl ~now:0. (t3 "n" 2 2));
   Alcotest.(check bool) "deleted" true (Table.delete tbl ~now:0. (t3 "n" 1 1));
   Alcotest.(check bool) "gone" false (Table.delete tbl ~now:0. (t3 "n" 1 1));
-  Alcotest.(check int) "one left" 1 (Table.size tbl ~now:0.)
+  Alcotest.(check int) "one left" 1 (Table.size tbl ~now:0.);
+  (* deletion goes by primary key alone: other fields need not match *)
+  Alcotest.(check bool) "deleted by key" true (Table.delete tbl ~now:0. (t3 "n" 2 99));
+  Alcotest.(check int) "none left" 0 (Table.size tbl ~now:0.)
 
 let test_delete_where () =
   let tbl = mk "t" in

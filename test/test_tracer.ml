@@ -140,6 +140,39 @@ let test_tuple_table_and_refcount () =
   Alcotest.(check bool) "contents reclaimed" true (Tracer.resolve tr 1 = None);
   Alcotest.(check bool) "contents reclaimed 2" true (Tracer.resolve tr 2 = None)
 
+(* The contents memo lives while the tupleTable row or a referring
+   ruleExec row does: a tuple no ruleExec row ever refers to goes with
+   its tupleTable row. *)
+let test_unreferenced_memo_expires () =
+  let tr, now = mk_tracer () in
+  Tracer.register_tuple tr (Tuple.make ~id:1 "x" [ Value.VAddr "n" ]) ~src:"n" ~src_id:1
+    ~dst:"n";
+  Alcotest.(check bool) "memoized" true (Tracer.resolve tr 1 <> None);
+  now := 100.;
+  Alcotest.(check int) "tupleTable expired" 0
+    (Store.Table.size (Tracer.tuple_table tr) ~now:!now);
+  Alcotest.(check bool) "contents gone" true (Tracer.resolve tr 1 = None)
+
+let test_reclaim_is_per_id () =
+  let tr, now = mk_tracer () in
+  let tu id = Tuple.make ~id "x" [ Value.VAddr "n"; Value.VInt id ] in
+  List.iter (fun id -> Tracer.register_tuple tr (tu id) ~src:"n" ~src_id:id ~dst:"n") [ 1; 2; 3 ];
+  Tracer.on_input tr ~rule:"r" ~join_count:0 ~tuple_id:1;
+  Tracer.on_output tr ~rule:"r" ~join_count:0 ~tuple_id:2;
+  (* ruleExec rows live 30 s, tupleTable rows 60 s: at 40 only the
+     reference reclaim of ids 1 and 2 has removed anything *)
+  now := 40.;
+  Alcotest.(check int) "ruleExec expired" 0
+    (Store.Table.size (Tracer.rule_exec_table tr) ~now:!now);
+  let ids =
+    Store.Table.tuples (Tracer.tuple_table tr) ~now:!now
+    |> List.map (fun row -> Value.as_int (Tuple.field row 2))
+  in
+  Alcotest.(check (list int)) "only id 3's row left" [ 3 ] ids;
+  Alcotest.(check bool) "1 reclaimed" true (Tracer.resolve tr 1 = None);
+  Alcotest.(check bool) "2 reclaimed" true (Tracer.resolve tr 2 = None);
+  Alcotest.(check bool) "3 kept" true (Tracer.resolve tr 3 <> None)
+
 let test_disabled_tracer_is_free () =
   let tr, _ = mk_tracer () in
   Tracer.disable tr;
@@ -250,6 +283,8 @@ let () =
       ( "tables",
         [
           Alcotest.test_case "tupleTable + refcount" `Quick test_tuple_table_and_refcount;
+          Alcotest.test_case "unreferenced memo expires" `Quick test_unreferenced_memo_expires;
+          Alcotest.test_case "reclaim is per id" `Quick test_reclaim_is_per_id;
           Alcotest.test_case "disabled is free" `Quick test_disabled_tracer_is_free;
           Alcotest.test_case "ground truth" `Quick test_ground_truth_matches;
         ] );
