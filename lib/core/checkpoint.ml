@@ -36,31 +36,8 @@ let default_config = { interval = 10.; retain = Some 3 }
 
 (* --- Directory layout ---------------------------------------------- *)
 
-let file_name ix = Fmt.str "ckpt-%08d.p2ck" ix
-
-let file_index name =
-  if
-    String.length name = 18
-    && String.sub name 0 5 = "ckpt-"
-    && Filename.check_suffix name ".p2ck"
-  then int_of_string_opt (String.sub name 5 8)
-  else None
-
-let files ~dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-      Array.to_list entries
-      |> List.filter_map (fun n ->
-             Option.map (fun ix -> (ix, Filename.concat dir n)) (file_index n))
-      |> List.sort compare
-
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let file_name = Seglog.numbered_name ~prefix:"ckpt-" ~suffix:".p2ck"
+let files ~dir = Seglog.numbered_files ~prefix:"ckpt-" ~suffix:".p2ck" dir
 
 (* --- Writer -------------------------------------------------------- *)
 
@@ -87,7 +64,7 @@ type writer = {
 }
 
 let create ?(config = default_config) ~dir () =
-  mkdir_p dir;
+  Seglog.mkdir_p dir;
   let next_index =
     match List.rev (files ~dir) with (ix, _) :: _ -> ix + 1 | [] -> 0
   in
@@ -201,18 +178,8 @@ type table = { name : string; rows : Wire.message list }
 
 type snapshot = { path : string; index : int; stamp : float; tables : table list }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          Ok (really_input_string ic len))
-
 let u16_at s off = String.get_uint16_le s off
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+let u32_at = Seglog.u32_at
 
 type header = {
   h_stamp : float;
@@ -275,7 +242,7 @@ let decode_body ~tables body =
   List.rev !out
 
 let read path =
-  match read_file path with
+  match Seglog.read_file path with
   | Error e -> Error e
   | Ok s -> (
       match decode_header s with
@@ -340,7 +307,7 @@ let inventory ~dir =
           }
       | Error e ->
           let stamp =
-            match read_file path with
+            match Seglog.read_file path with
             | Ok s when String.length s >= 13 && String.sub s 0 4 = magic ->
                 Int64.float_of_bits (String.get_int64_le s 5)
             | _ -> Float.nan

@@ -64,26 +64,26 @@ let default_config =
     buffer_bytes = 256 * 1024;
   }
 
-(* --- Directory layout ---------------------------------------------- *)
+(* --- File helpers (shared with Checkpoint) ------------------------- *)
 
-let seg_name ix = Fmt.str "seg-%08d.p2sl" ix
+let numbered_name ~prefix ~suffix ix = Fmt.str "%s%08d%s" prefix ix suffix
 
-let seg_index name =
-  if
-    String.length name = 17
-    && String.sub name 0 4 = "seg-"
-    && Filename.check_suffix name ".p2sl"
-  then int_of_string_opt (String.sub name 4 8)
-  else None
-
-(* (index, path) for every segment file, in log order. *)
-let seg_files dir =
+let numbered_files ~prefix ~suffix dir =
+  let index name =
+    let p = String.length prefix in
+    if
+      String.length name = p + 8 + String.length suffix
+      && String.starts_with ~prefix name
+      && String.ends_with ~suffix name
+    then int_of_string_opt (String.sub name p 8)
+    else None
+  in
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | entries ->
       Array.to_list entries
       |> List.filter_map (fun n ->
-             Option.map (fun ix -> (ix, Filename.concat dir n)) (seg_index n))
+             Option.map (fun ix -> (ix, Filename.concat dir n)) (index n))
       |> List.sort compare
 
 let rec mkdir_p dir =
@@ -92,6 +92,22 @@ let rec mkdir_p dir =
     if parent <> dir then mkdir_p parent;
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error e -> Error e
+
+(* --- Directory layout ---------------------------------------------- *)
+
+let seg_name = numbered_name ~prefix:"seg-" ~suffix:".p2sl"
+
+(* (index, path) for every segment file, in log order. *)
+let seg_files = numbered_files ~prefix:"seg-" ~suffix:".p2sl"
+
+(* Segment contents; an unreadable file reads as empty (no header). *)
+let contents path = Result.value (read_file path) ~default:""
 
 (* --- Header codec -------------------------------------------------- *)
 
@@ -106,8 +122,6 @@ let encode_header ~base_stamp ~base_seq ~last_stamp ~count =
   let body = Buffer.contents b in
   Buffer.add_int32_le b (Int32.of_int (crc32 body));
   Buffer.contents b
-
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
 type header = {
   h_base_stamp : float;
@@ -188,9 +202,6 @@ let decode_payload payload =
               Tuple.make ~id:m.Wire.src_tuple_id m.Wire.name m.Wire.fields )
       | _ -> None
       | exception Wire.Error _ -> None)
-
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
 
 (* --- Writer -------------------------------------------------------- *)
 
@@ -374,7 +385,7 @@ let close w =
    Returns the seq one past the segment's last record, or [None] when
    the header itself is unreadable (the file is left untouched). *)
 let recover_segment path =
-  let contents = read_file path in
+  let contents = contents path in
   match decode_header contents with
   | None -> None
   | Some h ->
@@ -460,7 +471,7 @@ let iter ?(from_ = neg_infinity) ?(to_ = infinity) ~dir f =
              headers. *)
           if not (sealed && (h.h_base_stamp > to_ || h.h_last_stamp < from_))
           then begin
-            let contents = read_file path in
+            let contents = contents path in
             let seq = ref h.h_base_seq in
             ignore
               (scan_payloads contents (fun payload ->
@@ -491,7 +502,7 @@ type segment = {
 let segments ~dir =
   List.map
     (fun (_, path) ->
-      let contents = read_file path in
+      let contents = contents path in
       match decode_header contents with
       | None ->
           {

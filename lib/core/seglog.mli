@@ -118,3 +118,24 @@ val intact : segment -> bool
     both the segment header and record framing; exposed so tests and
     external parsers can cross-check. *)
 val crc32 : string -> int
+
+(** {1 File helpers}
+
+    The numbered-file layer shared with {!Checkpoint}. *)
+
+(** [prefix ^ "%08d" ^ suffix]: the name of file [ix] in a series. *)
+val numbered_name : prefix:string -> suffix:string -> int -> string
+
+(** (index, path) of every file in [dir] named by {!numbered_name}
+    with this prefix and suffix, in index order; [] for a missing
+    directory. *)
+val numbered_files : prefix:string -> suffix:string -> string -> (int * string) list
+
+(** Create a directory and its missing parents. *)
+val mkdir_p : string -> unit
+
+(** Unsigned little-endian 32-bit integer at a byte offset. *)
+val u32_at : string -> int -> int
+
+(** A whole file's bytes, or the system error message. *)
+val read_file : string -> (string, string) result

@@ -22,16 +22,16 @@ type event =
          rule reads *)
   | Callback of (unit -> unit)
       (* host-scheduled ([Engine.at]): may touch any node or the
-         network tables, so in sharded mode it runs alone, sequentially,
-         between rounds *)
+         network tables, so it runs alone, single-threaded, between
+         rounds *)
   | Owned_callback of { owner : string; f : unit -> unit }
       (* transport-scheduled (retransmit, delayed ack, batching flush,
-         heartbeat): confined to one node's state, so a sharded run may
-         execute it inside [owner]'s shard *)
+         heartbeat): confined to one node's state, so it runs inside
+         [owner]'s shard *)
 
 (* Every event handled during a parallel round defers its cross-cutting
-   effects — network sends, event scheduling, in-flight accounting —
-   into its shard's log instead of applying them. The barrier replays
+   effects — network sends and event scheduling — into its shard's log
+   instead of applying them. The barrier replays
    all logs sorted by (causing event's queue seq, per-event effect
    index): a total order that depends only on the event queue contents,
    never on the shard count or on worker timing, which is what makes
@@ -39,16 +39,34 @@ type event =
 type effect_ =
   | Eff_send of { src : string; dst : string; at : float; packet : string }
   | Eff_schedule of { at : float; ev : event }
-  | Eff_inflight of { src : string; dst : string; d : int }
 
+(* A shard's round buffers are arrays reused from round to round, so a
+   round allocates nothing per event or effect; slots past the live
+   length are stale. *)
 type shard = {
-  mutable log : (int * int * effect_) list;  (* (event seq, idx, eff), newest first *)
+  mutable evs : (float * int * event) array;  (* this round's events, queue order *)
+  mutable n_evs : int;
+  mutable log_seqs : int array;  (* causing event's queue seq, per effect *)
+  mutable log : effect_ array;   (* effects in the order they were made *)
+  mutable n_log : int;
   mutable cur_seq : int;   (* queue seq of the event being handled *)
-  mutable cur_idx : int;   (* per-event effect counter *)
   mutable snow : float;    (* virtual now seen by this shard's nodes mid-round *)
-  mutable handled : int;   (* events handled by this shard *)
   mutable busy_ns : float; (* wall time spent executing events *)
+  mutable round_ns : float; (* ... in the latest round *)
 }
+
+(* Store [x] at index [len], growing the array when full. *)
+let push a len x =
+  let a =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (max 16 (2 * len)) x in
+      Array.blit a 0 b 0 len;
+      b
+    end
+  in
+  a.(len) <- x;
+  a
 
 (** Raised (with the sanitizer on) when code running inside a shard
     drain mutates barrier-owned state directly — scheduling, a raw
@@ -78,8 +96,10 @@ type sharding = {
          form one parallel round *)
   shards : shard array;
   mutable in_round : bool;
-  mutable rounds : int;
-  mutable parallel_ns : float;  (* wall time across all parallel phases *)
+  mutable parallel_ns : float;
+      (* the rounds' critical path: per round, the slowest shard's busy
+         time. A shard waits at the barrier for the difference, so one
+         shard never waits *)
 }
 
 type t = {
@@ -109,10 +129,9 @@ type t = {
   mutable batching : bool;
       (* cross-node delta batching for every transport, present and
          future; enabled together with semi-naive via set_seminaive *)
-  mutable sharding : sharding option;
-      (* None: the classic sequential loop. Some: the tick-window
-         round/barrier loop, with node-owned events fanned out over
-         [Pool] domains *)
+  mutable sharding : sharding;
+      (* the tick-window round/barrier loop: node-owned events fanned
+         out over [Pool] domains *)
   mutable sanitize : bool;
       (* effect-discipline sanitizer: raise [Discipline_violation] on
          direct mutation of barrier-owned state during a shard drain *)
@@ -137,15 +156,22 @@ type t = {
   host_watches : (string, (string * (Tuple.t -> unit)) list) Hashtbl.t;
       (* host-registered watchpoints per address, newest first;
          re-attached after a restart so observers survive the crash *)
-  mutable seq_handled : int;
-      (* events handled outside any shard (sequential mode + host
-         callbacks) *)
+  mutable handled : int;
+      (* events handled so far: bumped single-threaded as each window
+         is collected and as each host callback runs *)
 }
 
 and installed = Src_text of string | Src_ast of Ast.program
 
 (* Virtual seconds between a node's expiry sweeps. *)
 let sweep_interval = 1.0
+
+let make_sharding ~quantum n =
+  let fresh_shard _ =
+    { evs = [||]; n_evs = 0; log_seqs = [||]; log = [||]; n_log = 0; cur_seq = 0;
+      snow = 0.; busy_ns = 0.; round_ns = 0. }
+  in
+  { n; quantum; shards = Array.init n fresh_shard; in_round = false; parallel_ns = 0. }
 
 let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.)
     ?(trace = false) ?(strict_install = false)
@@ -165,7 +191,7 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     reliable;
     seminaive = true;
     batching = false;
-    sharding = None;
+    sharding = make_sharding ~quantum:0.01 1;
     sanitize =
       (match Sys.getenv_opt "P2QL_SANITIZE" with
       | Some ("1" | "true" | "yes") -> true
@@ -177,7 +203,7 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     incarnations = Hashtbl.create 32;
     programs = Hashtbl.create 32;
     host_watches = Hashtbl.create 32;
-    seq_handled = 0;
+    handled = 0;
   }
 
 let now t = t.clock
@@ -214,11 +240,8 @@ let addrs t =
    before reaching the guarded sites, so a raise here always means a
    bypass: state that belongs to the barrier was touched mid-drain. *)
 let guard t site =
-  if t.sanitize then
-    match t.sharding with
-    | Some s when s.in_round ->
-        raise (Discipline_violation { site; seq = !(Domain.DLS.get draining_seq) })
-    | _ -> ()
+  if t.sanitize && t.sharding.in_round then
+    raise (Discipline_violation { site; seq = !(Domain.DLS.get draining_seq) })
 
 (** Flip the effect-discipline sanitizer (also on via [P2QL_SANITIZE=1]
     in the environment). Purely a checking layer: runs are bit-for-bit
@@ -236,28 +259,30 @@ let at t ~time f = schedule t ~at:time (Callback f)
 
 (* --- Sharding plumbing --- *)
 
-let shard_ix s addr = Hashtbl.hash addr mod s.n
+(* One shard needs no hash. *)
+let shard_ix s addr = if s.n = 1 then 0 else Hashtbl.hash addr mod s.n
 
 (* The virtual clock as seen from code running on behalf of [addr]:
    inside a parallel round each shard tracks the time of the event it
    is currently handling (the global clock only advances at the
    barrier). *)
 let now_for t addr =
-  match t.sharding with
-  | Some s when s.in_round -> s.shards.(shard_ix s addr).snow
-  | _ -> t.clock
+  let s = t.sharding in
+  if s.in_round then s.shards.(shard_ix s addr).snow else t.clock
 
 (* Append an effect to [addr]'s shard log, tagged with the causing
-   event's queue seq and a per-event counter. Only [addr]'s own shard
-   ever executes [addr]'s code, so the log is single-writer. *)
+   event's queue seq; its index within the event is its log order.
+   Only [addr]'s own shard ever executes [addr]'s code, so the log is
+   single-writer. *)
 let defer t addr eff =
-  match t.sharding with
-  | Some s when s.in_round ->
-      let sh = s.shards.(shard_ix s addr) in
-      sh.log <- (sh.cur_seq, sh.cur_idx, eff) :: sh.log;
-      sh.cur_idx <- sh.cur_idx + 1;
-      true
-  | _ -> false
+  let s = t.sharding in
+  s.in_round
+  &&
+  let sh = s.shards.(shard_ix s addr) in
+  sh.log_seqs <- push sh.log_seqs sh.n_log sh.cur_seq;
+  sh.log <- push sh.log sh.n_log eff;
+  sh.n_log <- sh.n_log + 1;
+  true
 
 (* Schedule on behalf of [owner]: deferred to the barrier inside a
    parallel round, immediate otherwise. *)
@@ -283,9 +308,9 @@ let inflight_from t src =
 
 (* Below the transport: decide the packet's fate and queue delivery.
    Drops are final here — retransmission lives in [Transport]. [now] is
-   the virtual time of the send (the causing event's time in sharded
-   mode, where this only runs at the barrier: the network RNG and the
-   per-channel FIFO floor are shared state). *)
+   the virtual time of the send (the causing event's time: this only
+   runs at the barrier or from host context, because the network RNG
+   and the per-channel FIFO floor are shared state). *)
 let raw_send_now t ~now ~src ~dst packet =
   guard t "Engine.raw_send_now";
   match Sim.Network.send t.network ~now ~src ~dst with
@@ -363,7 +388,7 @@ let set_trace_log ?(config = Seglog.default_config) t dir =
 let trace_log t = Option.map fst t.trace_log
 
 (** Write every node's buffered trace records to disk. Called by the
-    run loops at barriers; cheap when nothing is buffered. *)
+    run loop at barriers; cheap when nothing is buffered. *)
 let flush_trace_logs t =
   if t.trace_log <> None then
     Hashtbl.iter (fun _ node -> Node.flush_trace_log node) t.nodes
@@ -423,8 +448,9 @@ let wire_node ?tracer_config ?trace t addr =
   Node.set_timer_handler node (fun req ->
       (* Stagger first firings deterministically to avoid a thundering
          herd of simultaneous timers. Installs are host-driven (direct
-         calls or [Engine.at] callbacks, both sequential), so drawing
-         from the engine RNG here is deterministic even when sharded. *)
+         calls or [Engine.at] callbacks, both outside rounds), so
+         drawing from the engine RNG here is deterministic at every
+         shard count. *)
       guard t "Engine.rng (timer stagger)";
       let offset = Sim.Rng.float t.rng *. req.period in
       sched_owned t addr ~at:(t.clock +. offset)
@@ -435,21 +461,19 @@ let wire_node ?tracer_config ?trace t addr =
       float_of_int (inflight_from t addr));
   (* Shard-occupancy gauges: reflected into p2Stats like every other
      registry metric, so the watchdog can alarm on shard imbalance.
-     In sequential mode the single implicit shard reads fully busy. *)
+     Before the first round a shard reads fully busy. *)
   Metrics.register (Node.registry node) "engine.shards" Metrics.KGauge (fun () ->
-      match t.sharding with Some s -> float_of_int s.n | None -> 0.);
+      float_of_int t.sharding.n);
   Metrics.register (Node.registry node) "engine.shard_busy_pct" Metrics.KGauge
     (fun () ->
-      match t.sharding with
-      | Some s when s.parallel_ns > 0. ->
-          100. *. s.shards.(shard_ix s addr).busy_ns /. s.parallel_ns
-      | _ -> 100.);
+      let s = t.sharding in
+      if s.parallel_ns > 0. then
+        100. *. s.shards.(shard_ix s addr).busy_ns /. s.parallel_ns
+      else 100.);
   Metrics.register (Node.registry node) "engine.barrier_wait_ns" Metrics.KGauge
     (fun () ->
-      match t.sharding with
-      | Some s ->
-          Float.max 0. (s.parallel_ns -. s.shards.(shard_ix s addr).busy_ns)
-      | None -> 0.);
+      let s = t.sharding in
+      Float.max 0. (s.parallel_ns -. s.shards.(shard_ix s addr).busy_ns));
   Transport.register_metrics tr (Node.registry node);
   (* ckpt.*: durable-checkpoint counters. Like trace.log.* they are
      registered unconditionally (the metric-documentation contract
@@ -571,8 +595,8 @@ let hard_state node ~now =
            | _ -> None)
 
 (** Snapshot every live node's hard state right now. Runs in host
-    context only (direct call or an [Engine.at] callback — in sharded
-    mode those execute alone between rounds), so the write is
+    context only (direct call or an [Engine.at] callback — those
+    execute alone between rounds), so the write is
     single-threaded and the file bytes are deterministic. Crashed
     nodes are skipped: a dead machine writes nothing to its disk. *)
 let checkpoint_now t =
@@ -630,17 +654,15 @@ let close_checkpoints t =
   t.checkpoint <- None;
   t.ckpt_armed <- false
 
-(* Handle one event. Safe both sequentially and inside a parallel
-   round: every handler resolves the clock through [now_for] and routes
+(* Handle one event, alone between rounds or inside a parallel round:
+   every handler resolves the clock through [now_for] and routes
    cross-cutting effects through [sched_owned]/[raw_send], which defer
    to the barrier when a round is active. During a round, shared engine
-   state is only ever *read* (nodes, transports, crash tables,
-   in-flight counters) — all writes are deferred effects. *)
+   state is only ever *read* (nodes, transports, crash tables) — all
+   writes are deferred effects. *)
 let handle t event =
   match event with
   | Deliver { dst; inc; src; packet } -> (
-      if not (defer t dst (Eff_inflight { src; dst; d = -1 })) then
-        inflight_add t ~src ~dst (-1);
       (* A packet launched toward an earlier incarnation dies here:
          after a restart both sides renegotiate from sequence 1, and a
          stale frame would otherwise alias into the fresh channel. *)
@@ -667,141 +689,127 @@ let handle t event =
   | Callback f -> f ()
   | Owned_callback { f; _ } -> f ()
 
+(* The node whose shard runs an owned event. *)
 let owner_of = function
-  | Deliver { dst; _ } -> Some dst
-  | Timer { addr; _ } -> Some addr
-  | Sweep { addr; _ } -> Some addr
-  | Owned_callback { owner; _ } -> Some owner
-  | Callback _ -> None
+  | Deliver { dst = a; _ } | Timer { addr = a; _ } | Sweep { addr = a; _ }
+  | Owned_callback { owner = a; _ } ->
+      a
+  | Callback _ -> invalid_arg "Engine.owner_of: host callback"
 
 (* One parallel round: each shard handles its window slice in queue
    order, deferring effects; the barrier then replays all logs in
    (event seq, effect idx) order — a total order fixed by the queue
    contents alone, so new queue seqs and network RNG draws happen
    identically for every shard count. *)
-let run_round t s buckets =
-  let round_t0 = Unix.gettimeofday () in
+let run_round t s =
   s.in_round <- true;
-  let jobs =
-    Array.mapi
-      (fun ix evs ->
-        let evs = List.rev evs in
-        let sh = s.shards.(ix) in
-        fun () ->
-          let t0 = Unix.gettimeofday () in
-          List.iter
-            (fun (time, seq, ev) ->
-              sh.snow <- time;
-              sh.cur_seq <- seq;
-              sh.cur_idx <- 0;
-              sh.handled <- sh.handled + 1;
-              if t.sanitize then Domain.DLS.get draining_seq := seq;
-              handle t ev)
-            evs;
-          if t.sanitize then Domain.DLS.get draining_seq := -1;
-          sh.busy_ns <- sh.busy_ns +. ((Unix.gettimeofday () -. t0) *. 1e9))
-      buckets
+  let job sh () =
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to sh.n_evs - 1 do
+      let time, seq, ev = sh.evs.(i) in
+      sh.snow <- time;
+      sh.cur_seq <- seq;
+      if t.sanitize then Domain.DLS.get draining_seq := seq;
+      handle t ev
+    done;
+    sh.n_evs <- 0;
+    if t.sanitize then Domain.DLS.get draining_seq := -1;
+    let d = Float.max 0. ((Unix.gettimeofday () -. t0) *. 1e9) in
+    sh.round_ns <- d;
+    sh.busy_ns <- sh.busy_ns +. d
   in
   Fun.protect
     ~finally:(fun () -> s.in_round <- false)
-    (fun () -> Pool.run jobs);
-  s.rounds <- s.rounds + 1;
-  s.parallel_ns <- s.parallel_ns +. ((Unix.gettimeofday () -. round_t0) *. 1e9);
-  let effs =
-    Array.fold_left
-      (fun acc sh ->
-        let l = sh.log in
-        sh.log <- [];
-        List.rev_append l acc)
-      [] s.shards
-  in
-  let effs =
-    List.sort
-      (fun (s1, i1, _) (s2, i2, _) ->
-        if s1 <> s2 then Int.compare s1 s2 else Int.compare i1 i2)
-      effs
-  in
-  List.iter
-    (fun (_, _, eff) ->
-      match eff with
+    (fun () -> Pool.run (Array.map job s.shards));
+  s.parallel_ns <-
+    s.parallel_ns +. Array.fold_left (fun m sh -> Float.max m sh.round_ns) 0. s.shards;
+  (* An event's effects all sit in one shard's log, in the order the
+     event made them, so a stable sort by seq of the logs taken shard
+     by shard is (seq, idx) order. Entry [pos] of shard [ix] is
+     numbered [pos lsl bits lor ix]: shifts, not divisions, in the
+     sort's comparisons. *)
+  let bits = ref 0 in
+  while 1 lsl !bits < s.n do incr bits done;
+  let bits = !bits in
+  let mask = (1 lsl bits) - 1 in
+  let order = Array.make (Array.fold_left (fun acc sh -> acc + sh.n_log) 0 s.shards) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun ix sh ->
+      for pos = 0 to sh.n_log - 1 do
+        order.(!k) <- (pos lsl bits) lor ix;
+        incr k
+      done;
+      sh.n_log <- 0)
+    s.shards;
+  let seq_of g = s.shards.(g land mask).log_seqs.(g lsr bits) in
+  Array.stable_sort (fun a b -> Int.compare (seq_of a) (seq_of b)) order;
+  Array.iter
+    (fun g ->
+      match s.shards.(g land mask).log.(g lsr bits) with
       | Eff_send { src; dst; at; packet } -> raw_send_now t ~now:at ~src ~dst packet
-      | Eff_schedule { at; ev } -> schedule t ~at ev
-      | Eff_inflight { src; dst; d } -> inflight_add t ~src ~dst d)
-    effs
+      | Eff_schedule { at; ev } -> schedule t ~at ev)
+    order
 
-let run_until_sharded t s until =
-  let buckets = Array.make s.n [] in
+(** Run the simulation until the clock reaches [until]. *)
+let run_until t until =
+  let s = t.sharding in
   let rec go () =
     match Sim.Event_queue.peek t.queue with
-    | None -> t.clock <- until
-    | Some (time, _) when time > until -> t.clock <- until
-    | Some (time, ev) when owner_of ev = None ->
+    | Some (time, Callback _) when time <= until ->
         (* Host callback: may mutate anything (fault injection,
            installs, p2Stats reflection), so it runs alone between
            rounds, with immediate effects. *)
         (match Sim.Event_queue.pop t.queue with
         | Some (_, ev) ->
             t.clock <- Float.max t.clock time;
-            t.seq_handled <- t.seq_handled + 1;
+            t.handled <- t.handled + 1;
             handle t ev
         | None -> ());
         go ()
-    | Some (t0, _) ->
+    | Some (t0, _) when t0 <= until ->
         let horizon = Float.min until (t0 +. s.quantum) in
-        Array.fill buckets 0 s.n [];
-        let wmax = ref t0 in
-        let rec collect () =
+        (* Returns the window's last event time. *)
+        let rec collect last =
           match Sim.Event_queue.peek t.queue with
-          | Some (time, ev) when time <= horizon && owner_of ev <> None -> (
+          | Some (_, Callback _) -> last
+          | Some (time, _) when time <= horizon -> (
               match Sim.Event_queue.pop_entry t.queue with
-              | Some (time, seq, ev) ->
-                  let owner = Option.get (owner_of ev) in
-                  let ix = shard_ix s owner in
-                  buckets.(ix) <- (time, seq, ev) :: buckets.(ix);
-                  wmax := Float.max !wmax time;
-                  collect ()
-              | None -> ())
-          | _ -> ()
+              | Some ((time, _, ev) as e) ->
+                  (* A packet leaves the network as its window is
+                     collected. In-flight counts are read only between
+                     rounds, so counting it here rather than at the
+                     barrier changes nothing they show. *)
+                  (match ev with
+                  | Deliver { src; dst; _ } -> inflight_add t ~src ~dst (-1)
+                  | _ -> ());
+                  let sh = s.shards.(shard_ix s (owner_of ev)) in
+                  sh.evs <- push sh.evs sh.n_evs e;
+                  sh.n_evs <- sh.n_evs + 1;
+                  t.handled <- t.handled + 1;
+                  collect time
+              | None -> last)
+          | _ -> last
         in
-        collect ();
-        run_round t s buckets;
+        let wmax = collect t0 in
+        run_round t s;
         (* The barrier is single-threaded: spilled trace records hit
            the disk here, in per-node append order, so the log bytes
            are identical for every shard count (DESIGN.md §15). *)
         flush_trace_logs t;
-        t.clock <- Float.max t.clock !wmax;
+        t.clock <- Float.max t.clock wmax;
         go ()
+    | _ -> t.clock <- until
   in
-  go ()
-
-(** Run the simulation until the clock reaches [until]. *)
-let run_until t until =
-  (match t.sharding with
-  | Some s -> run_until_sharded t s until
-  | None ->
-      let rec go () =
-        match Sim.Event_queue.peek t.queue with
-        | Some (time, _) when time <= until ->
-            (match Sim.Event_queue.pop t.queue with
-            | Some (time, event) ->
-                t.clock <- Float.max t.clock time;
-                t.seq_handled <- t.seq_handled + 1;
-                handle t event
-            | None -> ());
-            go ()
-        | _ -> t.clock <- until
-      in
-      go ());
-  (* The sequential loop has no barriers: buffered trace records are
-     bounded by the writer's high-water mark in between and land here. *)
+  go ();
   flush_trace_logs t
 
 let run_for t seconds = run_until t (t.clock +. seconds)
 
 (** Schedule a callback confined to [owner]'s state at an absolute
     simulation time. Unlike [Engine.at] — whose callbacks run alone
-    between rounds — a sharded run executes this inside [owner]'s
-    shard during the parallel phase, under the effect discipline. *)
+    between rounds — this runs inside [owner]'s shard during the
+    parallel phase, under the effect discipline. *)
 let at_owned t ~owner ~time f =
   schedule t ~at:time (Owned_callback { owner; f })
 
@@ -814,42 +822,19 @@ let unsafe_direct_send t ~src ~dst packet =
 
 (* --- Shard control --- *)
 
-let fresh_shard () =
-  { log = []; cur_seq = 0; cur_idx = 0; snow = 0.; handled = 0; busy_ns = 0. }
-
-(** Select the execution engine. [n = 0] restores the classic
-    sequential loop. [n >= 1] switches to the deterministic
-    round/barrier loop with [n] shards: node addresses are hashed onto
-    shards, and every shard count — including 1 — produces bit-for-bit
-    identical simulations for a given seed, because all cross-shard
-    effects replay in a canonical order at tick barriers. [quantum] is
-    the tick-window width in virtual seconds (default: the network's
-    default base latency, 10 ms). *)
+(** Re-partition the round/barrier loop onto [n >= 1] shards; every
+    shard count produces bit-for-bit identical simulations for a given
+    seed. [quantum] is the tick-window width in virtual seconds
+    (default: the network's default base latency, 10 ms). *)
 let set_shards ?(quantum = 0.01) t n =
-  if n < 0 then invalid_arg "Engine.set_shards: negative shard count";
-  if n = 0 then t.sharding <- None
-  else
-    t.sharding <-
-      Some
-        {
-          n;
-          quantum;
-          shards = Array.init n (fun _ -> fresh_shard ());
-          in_round = false;
-          rounds = 0;
-          parallel_ns = 0.;
-        }
+  if n < 1 then invalid_arg (Fmt.str "Engine.set_shards: %d shards (need >= 1)" n);
+  t.sharding <- make_sharding ~quantum n
 
-let shards t = match t.sharding with Some s -> s.n | None -> 0
+let shards t = t.sharding.n
 
-(** Total events handled so far (all shards plus the sequential path) —
-    the denominator of the bench's allocs-per-event measurement. *)
-let events_handled t =
-  t.seq_handled
-  +
-  match t.sharding with
-  | Some s -> Array.fold_left (fun acc sh -> acc + sh.handled) 0 s.shards
-  | None -> 0
+(** Total events handled so far — the denominator of the bench's
+    allocs-per-event measurement. *)
+let events_handled t = t.handled
 
 (** Retire a node (churn "leave"). Pending events addressed to it
     (deliveries, timers, sweeps) die silently because every handler

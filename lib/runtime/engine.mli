@@ -58,8 +58,8 @@ val set_trace_log : ?config:Seglog.config -> t -> string -> unit
 (** The flight-recorder root directory, when recording. *)
 val trace_log : t -> string option
 
-(** Write every node's buffered trace records to disk (the run loops
-    call this at barriers; exposed for hosts that inject events
+(** Write every node's buffered trace records to disk (the run loop
+    calls this at barriers; exposed for hosts that inject events
     outside [run_until]). *)
 val flush_trace_logs : t -> unit
 
@@ -127,8 +127,8 @@ val at : t -> time:float -> (unit -> unit) -> unit
 
 (** Schedule a callback confined to [owner]'s state at an absolute
     simulation time. Unlike [at] — whose callbacks run alone between
-    rounds — a sharded run executes this inside [owner]'s shard during
-    the parallel phase, under the effect discipline. *)
+    rounds — this runs inside [owner]'s shard during the parallel
+    phase, under the effect discipline. *)
 val at_owned : t -> owner:string -> time:float -> (unit -> unit) -> unit
 
 (** Push a Wire-encoded packet onto the network immediately, bypassing
@@ -174,25 +174,27 @@ val run_until : t -> float -> unit
 
 val run_for : t -> float -> unit
 
-(** Select the execution engine. [0] (the default) is the classic
-    sequential event loop. [n >= 1] switches to the multicore
-    round/barrier loop: node addresses are hashed onto [n] shards, each
-    shard drains its nodes' events inside a tick window of [quantum]
-    virtual seconds (default 10 ms, the network's default base
-    latency) on its own domain, and a deterministic barrier replays
-    all cross-shard effects in a canonical order. Seeded runs produce
-    bit-for-bit identical simulations for every shard count >= 1;
-    shard count 0 (the sequential loop) interleaves same-window events
-    differently and is only promised to agree on fixpoints for
-    programs insensitive to sub-quantum ordering. Host callbacks
-    ([at]) always run alone between rounds. *)
+(** Re-partition the engine's one event loop, the round/barrier loop.
+    Every engine starts on 1 shard with a 10 ms quantum. Node
+    addresses are hashed onto [n] shards; each shard drains its nodes'
+    events inside a tick window of [quantum] virtual seconds (default
+    10 ms, the network's default base latency) on its own domain, and a
+    deterministic barrier replays all cross-shard effects in a
+    canonical order. Seeded runs produce bit-for-bit identical
+    simulations for every shard count. Host callbacks ([at]) always
+    run alone between rounds. Raises [Invalid_argument] when [n < 1].
+    The [engine.shard_busy_pct] and [engine.barrier_wait_ns] gauges
+    describe the current layout and restart from zero here; the event
+    count ({!events_handled}) does not. *)
 val set_shards : ?quantum:float -> t -> int -> unit
 
-(** Current shard count; 0 means the sequential loop. *)
+(** Current shard count (at least 1). *)
 val shards : t -> int
 
-(** Events handled since creation (all shards plus the sequential
-    path) — the denominator for allocs-per-event measurements. *)
+(** Events handled since creation, over every shard layout the engine
+    has had: node-owned events are counted as each tick window is
+    collected, host callbacks as they run. Never decreases. The
+    denominator for allocs-per-event measurements. *)
 val events_handled : t -> int
 
 (** Retire a node permanently (churn "leave"): pending events addressed

@@ -133,7 +133,7 @@ let settle = 120.
 
 let booted ?(nodes = 7) ?(seed = 5) ?shards ?checkpoint () =
   let engine = Engine.create ~seed () in
-  (match shards with Some n when n > 0 -> Engine.set_shards engine n | _ -> ());
+  Option.iter (Engine.set_shards engine) shards;
   (match checkpoint with
   | Some dir -> Engine.set_checkpoint engine dir
   | None -> ());
@@ -209,7 +209,7 @@ let test_checkpoints_byte_identical_across_shards () =
         let engine, _ = booted ~shards ~checkpoint:dir () in
         Engine.close_checkpoints engine;
         (shards, dir))
-      [ 0; 1; 2; 4 ]
+      [ 1; 2; 4 ]
   in
   let read_all dir =
     Core.Replay.node_dirs dir
@@ -229,7 +229,7 @@ let test_checkpoints_byte_identical_across_shards () =
       List.iter
         (fun (shards, dir) ->
           Alcotest.(check bool)
-            (Fmt.str "shards=%d stream byte-identical to sequential" shards)
+            (Fmt.str "shards=%d stream byte-identical to shards=1" shards)
             true
             (read_all dir = baseline))
         rest

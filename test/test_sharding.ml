@@ -15,10 +15,8 @@
    - a recursive transitive-closure program whose cross-shard deltas
      exercise the deferred-effect path.
 
-   The sequential loop (shards = 0) interleaves same-window events
-   differently and is deliberately not part of the exact-equality
-   oracle; a separate case checks it still agrees on the structural
-   ring fixpoint. *)
+   The round/barrier loop is the engine's only loop, so shards = 1 is
+   also the default every other suite runs on. *)
 
 module Engine = P2_runtime.Engine
 module Node = P2_runtime.Node
@@ -170,17 +168,6 @@ let test_ring_coarse_quantum () =
   in
   check_arms_identical ~what:"chord ring, coarse quantum" arms
 
-(* The sequential loop is a different interleaving, not a different
-   program: it must still converge the same structural ring. *)
-let structural = [ "node"; "landmark"; "bestSucc"; "pred"; "finger" ]
-
-let test_ring_sequential_agrees_structurally () =
-  let seq = run_ring ~shards:0 ~quantum:0.01 ~seed:42 ~n:10 ~horizon:150. () in
-  let sh = run_ring ~shards:2 ~quantum:0.01 ~seed:42 ~n:10 ~horizon:150. () in
-  let only (_, t, _) = List.mem t structural in
-  check_fixpoints_equal ~what:"sequential vs sharded structural ring"
-    (List.filter only seq.fp) (List.filter only sh.fp)
-
 (* --- suite 3: recursive closure with cross-shard deltas --- *)
 
 let tc_program =
@@ -269,21 +256,45 @@ let test_sanitizer_catches_direct_send () =
       Alcotest.(check string) "guarded site" "Engine.raw_send_now" site;
       Alcotest.(check bool) "offending event seq identified" true (seq >= 0)
 
-(* The same rogue callback is legal outside a parallel round: in the
-   sequential loop there is no barrier to bypass, so the sanitizer must
-   stay quiet (no false positives). *)
-let test_sanitizer_quiet_sequential () =
-  let engine = Engine.create ~seed:5 () in
-  Engine.set_sanitize engine true;
-  for i = 0 to 3 do
-    ignore (Engine.add_node engine (Fmt.str "n%d" i))
-  done;
-  (* drop the rogue packet at the network: it is not Wire-encoded, and
-     only the sanitizer's reaction (none, here) is under test *)
-  Engine.cut_link engine ~src:"n0" ~dst:"n1";
-  Engine.at_owned engine ~owner:"n0" ~time:1.0 (fun () ->
-      Engine.unsafe_direct_send engine ~src:"n0" ~dst:"n1" "rogue-packet");
-  Engine.run_until engine 5.0
+(* --- suite 5: shard count on a live engine --- *)
+
+let test_zero_shards_rejected () =
+  let engine = Engine.create () in
+  Alcotest.(check int) "engines start on one shard" 1 (Engine.shards engine);
+  Alcotest.check_raises "set_shards 0"
+    (Invalid_argument "Engine.set_shards: 0 shards (need >= 1)") (fun () ->
+      Engine.set_shards engine 0);
+  Alcotest.(check int) "shard count unchanged" 1 (Engine.shards engine)
+
+(* Re-sharding a running engine swaps in fresh shard records; the event
+   count lives in the engine, so it must carry across and never fall
+   back. Re-sharding at a barrier is just another shard count, so the
+   run also matches one that stayed on a single shard. *)
+let test_reshard_keeps_event_count () =
+  let run ~reshard =
+    let engine = Engine.create ~seed:3 () in
+    Engine.set_shards engine 1;
+    ignore (Chord.boot ~params:Chord.default_params engine 6);
+    let last = ref 0 in
+    let step horizon =
+      Engine.run_until engine horizon;
+      let n = Engine.events_handled engine in
+      Alcotest.(check bool)
+        (Fmt.str "events_handled never decreases (t=%g)" horizon)
+        true (n >= !last);
+      last := n
+    in
+    step 20.;
+    if reshard then begin
+      Engine.set_shards engine 2;
+      step 20.
+    end;
+    step 40.;
+    step 60.;
+    !last
+  in
+  let resharded = run ~reshard:true in
+  Alcotest.(check int) "same count as a one-shard run" (run ~reshard:false) resharded
 
 let () =
   Alcotest.run "sharding"
@@ -299,8 +310,6 @@ let () =
             test_ring_differential;
           Alcotest.test_case "coarse quantum identical at shards 1/2/4" `Slow
             test_ring_coarse_quantum;
-          Alcotest.test_case "sequential loop agrees structurally" `Slow
-            test_ring_sequential_agrees_structurally;
         ] );
       ( "closure",
         [
@@ -313,7 +322,11 @@ let () =
             `Slow test_sanitize_identity;
           Alcotest.test_case "direct off-barrier send raises" `Quick
             test_sanitizer_catches_direct_send;
-          Alcotest.test_case "no false positive in the sequential loop" `Quick
-            test_sanitizer_quiet_sequential;
+        ] );
+      ( "shards",
+        [
+          Alcotest.test_case "zero shards rejected" `Quick test_zero_shards_rejected;
+          Alcotest.test_case "re-sharding keeps the event count" `Quick
+            test_reshard_keeps_event_count;
         ] );
     ]
