@@ -31,21 +31,22 @@ let max_record_len = 1 lsl 24
 (* --- CRC-32 (IEEE 802.3, reflected), table-driven ------------------ *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
+(* CRC-32 of [len] bytes of [b] from [off]. *)
+let crc32_bytes b off len =
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    c := crc_table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* --- Config -------------------------------------------------------- *)
 
@@ -148,18 +149,18 @@ let decode_header s =
 
 (* --- Record framing ------------------------------------------------ *)
 
+(* Encode the record once: a placeholder length and CRC, the payload,
+   then both patched in over the finished bytes. *)
 let frame_record ~stamp ~delete tuple =
-  let payload =
-    let b = Buffer.create 64 in
-    Buffer.add_int64_le b (Int64.bits_of_float stamp);
-    Buffer.add_string b (Wire.encode ~delete tuple);
-    Buffer.contents b
-  in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let buf = Buffer.create 96 in
+  Buffer.add_int64_le buf 0L;
+  Buffer.add_int64_le buf (Int64.bits_of_float stamp);
+  Wire.encode_into buf ~delete tuple;
+  let b = Buffer.to_bytes buf in
+  let plen = Bytes.length b - 8 in
+  Bytes.set_int32_le b 0 (Int32.of_int plen);
+  Bytes.set_int32_le b 4 (Int32.of_int (crc32_bytes b 8 plen));
+  Bytes.unsafe_to_string b
 
 (* Visit every CRC-good record payload in a segment image; returns
    (good count, end offset of the last complete record, torn?, CRC-bad
@@ -199,7 +200,7 @@ let decode_payload payload =
           Some
             ( stamp,
               m.Wire.delete,
-              Tuple.make ~id:m.Wire.src_tuple_id m.Wire.name m.Wire.fields )
+              Tuple.make_arr ~id:m.Wire.src_tuple_id m.Wire.name m.Wire.fields )
       | _ -> None
       | exception Wire.Error _ -> None)
 

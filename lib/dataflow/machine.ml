@@ -38,7 +38,7 @@ type ctx = {
       (* rows whose fields at the 1-indexed positions equal the values,
          in the same (insertion) order a scan would yield them — backed
          by the store's hash indexes, O(matches) instead of O(table) *)
-  create_tuple : dst:string -> string -> Value.t list -> Tuple.t;
+  create_tuple : dst:string -> string -> Value.t array -> Tuple.t;
       (* allocate a node-unique id, register with the tracer, count it *)
   emit : delete:bool -> Tuple.t -> unit;  (* route a head tuple *)
   charge : float -> unit;
@@ -243,35 +243,38 @@ let eval_delete_field ctx env e =
   | Ast.Var _ -> Value.VNull
   | e -> Eval.eval ctx env e
 
+(* A head tuple's fields, built in place: the location, then [f] of
+   each head field in order. *)
+let head_fields loc hfields f =
+  let fields = Array.make (1 + List.length hfields) loc in
+  List.iteri (fun i h -> fields.(i + 1) <- f h) hfields;
+  fields
+
 let emit_head t (s : Strand.t) env prov x =
   let ctx = t.ctx in
   let head = s.head in
   if head.hdelete then begin
     let loc = coerce_addr (eval_delete_field ctx.eval_ctx env head.hloc) in
     let fields =
-      List.map
-        (function
-          | Ast.Plain e -> eval_delete_field ctx.eval_ctx env e
-          | Ast.Agg _ -> Value.VNull)
-        head.hfields
+      head_fields loc head.hfields (function
+        | Ast.Plain e -> eval_delete_field ctx.eval_ctx env e
+        | Ast.Agg _ -> Value.VNull)
     in
     let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
-    let tuple = ctx.create_tuple ~dst head.hatom (loc :: fields) in
+    let tuple = ctx.create_tuple ~dst head.hatom fields in
     ctx.rule_executed ();
     ctx.emit ~delete:true tuple
   end
   else begin
     let loc = coerce_addr (Eval.eval ctx.eval_ctx env head.hloc) in
     let fields =
-      List.map
-        (function
-          | Ast.Plain e -> Eval.eval ctx.eval_ctx env e
-          | Ast.Agg _ -> invalid_arg "emit_head: aggregate in non-aggregate strand")
-        head.hfields
+      head_fields loc head.hfields (function
+        | Ast.Plain e -> Eval.eval ctx.eval_ctx env e
+        | Ast.Agg _ -> invalid_arg "emit_head: aggregate in non-aggregate strand")
     in
     ctx.charge Sim.Metrics.Cost.element;
     let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
-    let tuple = ctx.create_tuple ~dst head.hatom (loc :: fields) in
+    let tuple = ctx.create_tuple ~dst head.hatom fields in
     if x.traced then tap_output t s tuple;
     if t.record_ground_truth then
       t.ground_truth <- (s.rule_id, prov.cause_id, Tuple.id tuple) :: t.ground_truth;
@@ -521,17 +524,15 @@ let run_aggregate t (s : Strand.t) env0 trigger_tuple =
           let remaining = ref (List.tl key_values) (* drop loc *) in
           let loc = coerce_addr (List.hd key_values) in
           let fields =
-            List.map
-              (function
-                | Ast.Plain _ ->
-                    let v = List.hd !remaining in
-                    remaining := List.tl !remaining;
-                    v
-                | Ast.Agg _ -> agg_v)
-              s.head.hfields
+            head_fields loc s.head.hfields (function
+              | Ast.Plain _ ->
+                  let v = List.hd !remaining in
+                  remaining := List.tl !remaining;
+                  v
+              | Ast.Agg _ -> agg_v)
           in
           let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
-          let tuple = ctx.create_tuple ~dst s.head.hatom (loc :: fields) in
+          let tuple = ctx.create_tuple ~dst s.head.hatom fields in
           tap_output t s tuple;
           if t.record_ground_truth then
             t.ground_truth <-

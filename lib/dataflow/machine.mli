@@ -28,7 +28,7 @@ type ctx = {
       (** Rows whose fields at the 1-indexed [positions] equal [values],
           in scan (insertion) order. May over-approximate — the machine
           re-verifies every candidate with [match_atom]. *)
-  create_tuple : dst:string -> string -> Value.t list -> Tuple.t;
+  create_tuple : dst:string -> string -> Value.t array -> Tuple.t;
   emit : delete:bool -> Tuple.t -> unit;
   charge : float -> unit;
   rule_executed : unit -> unit;

@@ -141,25 +141,24 @@ let create ?(config = default_config) ~addr ~now ~charge () =
      The last reference takes the tupleTable row with it, found by its
      primary key (the tuple id). *)
   Store.Table.subscribe rule_exec (function
-    | Store.Table.Delete row -> (
-        match Tuple.fields row with
-        | _ :: _ :: cause :: effect :: _ ->
-            let unref v =
-              match v with
-              | Value.VInt id -> (
-                  match Hashtbl.find_opt t.refs id with
-                  | Some n when n <= 1 ->
-                      Hashtbl.remove t.refs id;
-                      Hashtbl.remove t.contents id;
-                      let key = Tuple.make "tupleTable" [ Value.VAddr t.addr; Value.VInt id ] in
-                      ignore (Store.Table.delete t.tuple_table ~now:(t.now ()) key)
-                  | Some n -> Hashtbl.replace t.refs id (n - 1)
-                  | None -> ())
-              | _ -> ()
-            in
-            unref cause;
-            unref effect
-        | _ -> ())
+    | Store.Table.Delete row ->
+        let unref v =
+          match v with
+          | Value.VInt id -> (
+              match Hashtbl.find_opt t.refs id with
+              | Some n when n <= 1 ->
+                  Hashtbl.remove t.refs id;
+                  Hashtbl.remove t.contents id;
+                  let key =
+                    Tuple.make_arr "tupleTable" [| Value.VAddr t.addr; Value.VInt id |]
+                  in
+                  ignore (Store.Table.delete t.tuple_table ~now:(t.now ()) key)
+              | Some n -> Hashtbl.replace t.refs id (n - 1)
+              | None -> ())
+          | _ -> ()
+        in
+        unref (Tuple.key_field row 3);
+        unref (Tuple.key_field row 4)
     | Store.Table.Insert _ | Store.Table.Refresh _ -> ());
   (* A tuple no ruleExec row refers to leaves the memo with its
      tupleTable row (expiry or deletion). *)
@@ -202,9 +201,9 @@ let register_tuple t tuple ~src ~src_id ~dst =
     let id = Tuple.id tuple in
     Hashtbl.replace t.contents id tuple;
     let row =
-      Tuple.make "tupleTable"
-        [ Value.VAddr t.addr; Value.VInt id; Value.VAddr src; Value.VInt src_id;
-          Value.VAddr dst ]
+      Tuple.make_arr "tupleTable"
+        [| Value.VAddr t.addr; Value.VInt id; Value.VAddr src; Value.VInt src_id;
+           Value.VAddr dst |]
     in
     let _ = Store.Table.insert t.tuple_table ~now:(t.now ()) row in
     (* Spill both halves of the registration: the memoized contents
@@ -224,9 +223,9 @@ let ref_tuple t id =
 
 let emit_rule_exec t ~rule ~cause ~effect ~t_cause ~t_out ~is_event =
   let row =
-    Tuple.make "ruleExec"
-      [ Value.VAddr t.addr; Value.VStr rule; Value.VInt cause; Value.VInt effect;
-        Value.VFloat t_cause; Value.VFloat t_out; Value.VBool is_event ]
+    Tuple.make_arr "ruleExec"
+      [| Value.VAddr t.addr; Value.VStr rule; Value.VInt cause; Value.VInt effect;
+         Value.VFloat t_cause; Value.VFloat t_out; Value.VBool is_event |]
   in
   (match Store.Table.insert t.rule_exec ~now:(t.now ()) row with
   | Store.Table.Added ->

@@ -47,11 +47,10 @@ let to_string t = Fmt.str "%a" pp t
 
 (* Key extraction for primary-key semantics: positions are 1-indexed
    over all fields (including the location). *)
-let key_of t positions =
-  List.map
-    (fun i ->
-      if i < 1 || i > Array.length t.fields then Value.VNull else t.fields.(i - 1))
-    positions
+let key_field t i =
+  if i < 1 || i > Array.length t.fields then Value.VNull else t.fields.(i - 1)
+
+let key_of t positions = List.map (key_field t) positions
 
 let size_bytes t =
   24 + String.length t.name

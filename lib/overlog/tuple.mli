@@ -37,4 +37,8 @@ val to_string : t -> string
     positions yield [VNull]. *)
 val key_of : t -> int list -> Value.t list
 
+(** One position of {!key_of}: the 1-indexed field, or [VNull] when out
+    of range. *)
+val key_field : t -> int -> Value.t
+
 val size_bytes : t -> int

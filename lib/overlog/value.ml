@@ -169,15 +169,3 @@ let rec hash_key = function
     lists hash identically. *)
 let hash_values vs =
   List.fold_left (fun acc v -> ((acc * 31) + hash_key v) land max_int) 17 vs
-
-(* Canonical key text: two values that are [equal] must map to the
-   same string (primary-key identity in tables). Strings and addresses
-   share a representation; ints and ring ids share the numeric one. *)
-let rec canonical_key = function
-  | VInt i -> "n:" ^ string_of_int i
-  | VId i -> "n:" ^ string_of_int (Ring.norm i)
-  | VFloat f -> "f:" ^ string_of_float f
-  | VStr s | VAddr s -> "s:" ^ s
-  | VBool b -> if b then "b:1" else "b:0"
-  | VList vs -> "l:[" ^ String.concat "" (List.map canonical_key vs) ^ "]"
-  | VNull -> "null"

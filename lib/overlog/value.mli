@@ -68,7 +68,3 @@ val hash_key : t -> int
     key for aggregate evaluation (collisions must be resolved with
     {!equal}). *)
 val hash_values : t list -> int
-
-(** Canonical key text: values that are {!equal} map to the same
-    string (used for primary-key identity in tables). *)
-val canonical_key : t -> string

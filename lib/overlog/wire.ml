@@ -38,27 +38,20 @@ let flag_delete = 1
 
 (* --- encoding --- *)
 
-let put_u8 buf i = Buffer.add_char buf (Char.chr (i land 0xff))
+let put_u8 buf i = Buffer.add_uint8 buf (i land 0xff)
 
 let put_u16 buf i =
   if i < 0 || i > 0xffff then raise (Error "u16 out of range");
-  put_u8 buf (i land 0xff);
-  put_u8 buf (i lsr 8)
+  Buffer.add_uint16_le buf i
 
-let put_u32 buf i =
-  put_u16 buf (i land 0xffff);
-  put_u16 buf ((i lsr 16) land 0xffff)
+(* [i] is already masked to 32 bits; [Int32.of_int] keeps its low 32. *)
+let put_u32 buf i = Buffer.add_int32_le buf (Int32.of_int i)
 
-let put_int64 buf i =
-  for b = 0 to 7 do
-    put_u8 buf (Int64.to_int (Int64.shift_right_logical i (8 * b)) land 0xff)
-  done
-
-let put_i64 buf i = put_int64 buf (Int64.of_int i)
+let put_i64 buf i = Buffer.add_int64_le buf (Int64.of_int i)
 
 (* float bits use all 64 bits: they must never pass through OCaml's
    63-bit int *)
-let put_f64 buf f = put_int64 buf (Int64.bits_of_float f)
+let put_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let put_str buf s =
   if String.length s > 0xffff then raise (Error "string too long");
@@ -106,19 +99,23 @@ let put_data buf ~delete tuple =
   put_u32 buf (Tuple.id tuple land 0xffffffff);
   put_u8 buf (if delete then flag_delete else 0);
   put_str buf (Tuple.name tuple);
-  let fields = Tuple.fields tuple in
-  put_u16 buf (List.length fields);
-  List.iter (put_value buf) fields
+  put_u16 buf (Tuple.arity tuple);
+  for i = 1 to Tuple.arity tuple do
+    put_value buf (Tuple.field tuple i)
+  done
 
-(** Encode a tuple as a data frame. [delete] marks delete patterns; the
-    source tuple id travels with the message so the receiver's tracer
-    can record the cross-node link (paper §2.1.3). [seq] is the
-    channel sequence number, [ack] the piggybacked cumulative
-    acknowledgement (both default 0 for unsequenced sends). *)
-let encode ?(delete = false) ?(seq = 0) ?(ack = 0) tuple =
-  let buf = Buffer.create 64 in
+(** Append a tuple's data frame to [buf]. [delete] marks delete
+    patterns; the source tuple id travels with the message so the
+    receiver's tracer can record the cross-node link (paper §2.1.3).
+    [seq] is the channel sequence number, [ack] the piggybacked
+    cumulative acknowledgement (both default 0 for unsequenced sends). *)
+let encode_into buf ?(delete = false) ?(seq = 0) ?(ack = 0) tuple =
   put_header buf ~kind:kind_data ~seq ~ack;
-  put_data buf ~delete tuple;
+  put_data buf ~delete tuple
+
+let encode ?delete ?seq ?ack tuple =
+  let buf = Buffer.create 64 in
+  encode_into buf ?delete ?seq ?ack tuple;
   Buffer.contents buf
 
 (** Encode a list of tuple shipments as one delta-batch frame occupying
@@ -167,11 +164,10 @@ let get_u32 r =
   lo lor (hi lsl 16)
 
 let get_int64 r =
-  let v = ref 0L in
-  for b = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * b))
-  done;
-  !v
+  need r 8;
+  let v = String.get_int64_le r.data r.pos in
+  r.pos <- r.pos + 8;
+  v
 
 let get_i64 r = Int64.to_int (get_int64 r)
 
@@ -198,7 +194,7 @@ let rec get_value r =
   | 7 -> Value.VNull
   | t -> raise (Error (Fmt.str "unknown value tag %d" t))
 
-type message = { src_tuple_id : int; delete : bool; name : string; fields : Value.t list }
+type message = { src_tuple_id : int; delete : bool; name : string; fields : Value.t array }
 
 type kind = Data of message | Batch of message list | Ack | Heartbeat
 
@@ -209,7 +205,7 @@ let get_data r =
   let flags = get_u8 r in
   let name = get_str r in
   let nfields = get_u16 r in
-  let fields = List.init nfields (fun _ -> get_value r) in
+  let fields = Array.init nfields (fun _ -> get_value r) in
   { src_tuple_id; delete = flags land flag_delete <> 0; name; fields }
 
 (** Decode a wire frame. Raises [Error] on malformed input, including
@@ -235,6 +231,28 @@ let decode data =
   if r.pos <> String.length data then raise (Error "trailing bytes");
   { seq; ack; kind }
 
+(* Encoded sizes, computed arithmetically; they raise {!Error} exactly
+   where encoding would. *)
+let str_size s =
+  if String.length s > 0xffff then raise (Error "string too long");
+  2 + String.length s
+
+let count_size n = if n > 0xffff then raise (Error "u16 out of range") else 2
+
+let rec value_size = function
+  | Value.VInt _ | Value.VFloat _ | Value.VId _ -> 9
+  | Value.VStr s | Value.VAddr s -> 1 + str_size s
+  | Value.VBool _ -> 2
+  | Value.VList vs ->
+      List.fold_left (fun acc v -> acc + value_size v) (1 + count_size (List.length vs)) vs
+  | Value.VNull -> 1
+
 (** Wire size of a tuple's data frame without materializing the
     encoding. *)
-let size ?(delete = false) tuple = String.length (encode ~delete tuple)
+let size ?delete:_ tuple =
+  let n = Tuple.arity tuple in
+  let acc = ref (10 + 5 + str_size (Tuple.name tuple) + count_size n) in
+  for i = 1 to n do
+    acc := !acc + value_size (Tuple.field tuple i)
+  done;
+  !acc

@@ -14,6 +14,9 @@ val version : int
     input (strings over 64 KiB, more than 65535 fields). *)
 val encode : ?delete:bool -> ?seq:int -> ?ack:int -> Tuple.t -> string
 
+(** {!encode}, appending the frame to a buffer. *)
+val encode_into : Buffer.t -> ?delete:bool -> ?seq:int -> ?ack:int -> Tuple.t -> unit
+
 (** Encode a list of [(delete, tuple)] shipments as one delta-batch
     frame (kind 3) that occupies a single sequence number; the receiver
     delivers the items in list order. Raises {!Error} on more than
@@ -30,7 +33,7 @@ type message = {
   src_tuple_id : int;
   delete : bool;
   name : string;
-  fields : Value.t list;
+  fields : Value.t array;
 }
 
 type kind = Data of message | Batch of message list | Ack | Heartbeat
@@ -42,5 +45,7 @@ type frame = { seq : int; ack : int; kind : kind }
     layout. *)
 val decode : string -> frame
 
-(** Wire size in bytes of a tuple's data-frame encoding. *)
+(** Wire size in bytes of a tuple's data-frame encoding, computed
+    without encoding; raises {!Error} where {!encode} would. The delete
+    flag does not change the size. *)
 val size : ?delete:bool -> Tuple.t -> int

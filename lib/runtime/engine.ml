@@ -555,7 +555,8 @@ let inject t addr name values =
   let n = node t addr in
   if Sim.Network.is_crashed t.network addr then false
   else begin
-    let tuple = Node.create_tuple n ~dst:addr name (Value.VAddr addr :: values) in
+    let fields = Array.of_list (Value.VAddr addr :: values) in
+    let tuple = Node.create_tuple n ~dst:addr name fields in
     Node.deliver n tuple;
     true
   end

@@ -120,7 +120,7 @@ let is_table t name =
 (* Register a freshly minted local tuple with the tracer. *)
 let create_tuple t ~dst name fields =
   let id = fresh_tuple_id t in
-  let tuple = Tuple.make ~id name fields in
+  let tuple = Tuple.make_arr ~id name fields in
   Sim.Metrics.tuple_created t.metrics;
   if not (List.mem name system_tables || List.mem name reflected_tables) then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src:t.addr ~src_id:id ~dst;
@@ -201,7 +201,7 @@ let receive t ?(bytes = 0) ~src ~src_tuple_id ~delete ~name ~fields () =
   p.rx_msgs <- p.rx_msgs + 1;
   p.rx_bytes <- p.rx_bytes + bytes;
   let id = fresh_tuple_id t in
-  let tuple = Tuple.make ~id name fields in
+  let tuple = Tuple.make_arr ~id name fields in
   Sim.Metrics.tuple_created t.metrics;
   if not (List.mem name system_tables || List.mem name reflected_tables) then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src ~src_id:src_tuple_id ~dst:t.addr;
@@ -215,7 +215,7 @@ let dummy_machine addr =
       eval_ctx = Eval.null_context;
       scan = (fun _ -> []);
       probe = (fun _ ~positions:_ ~values:_ -> []);
-      create_tuple = (fun ~dst:_ name fields -> Tuple.make name fields);
+      create_tuple = (fun ~dst:_ name fields -> Tuple.make_arr name fields);
       emit = (fun ~delete:_ _ -> ());
       charge = (fun _ -> ());
       rule_executed = (fun () -> ());
@@ -490,7 +490,7 @@ let install t (program : Ast.program) =
             | Value.VStr a :: rest -> Value.VAddr a :: rest
             | vs -> vs
           in
-          let tuple = create_tuple t ~dst name values in
+          let tuple = create_tuple t ~dst name (Array.of_list values) in
           emit t ~delete:false tuple
       | Ast.Rule rule ->
           let strands =
@@ -520,10 +520,10 @@ let fire_periodic t (req : timer_request) =
   let atom = Dataflow.Strand.trigger_atom req.strand in
   (* Arity must match the atom: periodic@N(E, T) or periodic@N(E, T, C). *)
   let extra = max 0 (List.length atom.args - 3) in
-  let fields =
-    Value.VAddr t.addr :: nonce :: Value.VFloat req.period
-    :: List.init extra (fun _ -> Value.VNull)
-  in
+  let fields = Array.make (3 + extra) Value.VNull in
+  fields.(0) <- Value.VAddr t.addr;
+  fields.(1) <- nonce;
+  fields.(2) <- Value.VFloat req.period;
   let tuple = create_tuple t ~dst:t.addr "periodic" fields in
   ignore (Dataflow.Machine.trigger t.machine req.strand tuple);
   Dataflow.Machine.drain t.machine

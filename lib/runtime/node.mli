@@ -106,7 +106,7 @@ val last_diagnostics : t -> Analysis.diagnostic list
 val analysis_env : t -> Analysis.env
 
 (** Mint a node-unique tuple (registered with the tracer). *)
-val create_tuple : t -> dst:string -> string -> Value.t list -> Tuple.t
+val create_tuple : t -> dst:string -> string -> Value.t array -> Tuple.t
 
 (** Deliver a local tuple: watches, table insert or event strands. *)
 val deliver : t -> Tuple.t -> unit
@@ -121,7 +121,7 @@ val receive :
   src_tuple_id:int ->
   delete:bool ->
   name:string ->
-  fields:Value.t list ->
+  fields:Value.t array ->
   unit ->
   unit
 

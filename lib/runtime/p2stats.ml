@@ -41,7 +41,8 @@ let vstr s = Value.VStr s
    insert) so watches and delta strands see it and the agenda drains. *)
 let reflect_tuple node name fields =
   let addr = Node.addr node in
-  let tuple = Node.create_tuple node ~dst:addr name (Value.VAddr addr :: fields) in
+  let fields = Array.of_list (Value.VAddr addr :: fields) in
+  let tuple = Node.create_tuple node ~dst:addr name fields in
   Node.deliver node tuple
 
 let ensure_schema ~period node =

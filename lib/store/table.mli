@@ -4,9 +4,18 @@
     lazily-created secondary hash indexes for O(matches) join probes.
 
     Time is always supplied by the caller (the simulation clock), so
-    table behaviour is deterministic. Expiry is incremental (a
-    min-heap ordered by insertion time with lazy invalidation), so
-    reads cost O(rows expired since the last read), not O(N). *)
+    table behaviour is deterministic.
+
+    Primary-key identity compares the key values themselves: ints and
+    ids by number, strings and addresses by text, floats by their
+    [string_of_float] text (so [VFloat 2.] and [VInt 2] are different
+    keys), lists element by element. Secondary-index buckets follow
+    {!Value.equal} instead (so [VFloat 2.] does probe-match [VInt 2]).
+
+    Rows are kept on intrusive lists in age order and in insertion
+    order, so expiry costs O(rows expired since the last read),
+    eviction O(1), and scans and probes O(rows returned), with no sort
+    and no key string built. *)
 
 open Overlog
 
@@ -57,13 +66,16 @@ val delete_where : t -> now:float -> (Tuple.t -> bool) -> Tuple.t list
 val tuples : t -> now:float -> Tuple.t list
 
 (** [probe t ~now ~positions ~values]: live rows whose fields at the
-    1-indexed [positions] equal [values] under [Value.equal], in
+    1-indexed [positions] equal [values] under {!Value.equal}, in
     insertion order — observably identical to filtering {!tuples}, but
     O(matches) via a hash index created lazily on first probe of a
     position set and maintained incrementally across
-    insert/replace/delete/evict/expire. [positions = []] is a full
-    scan. Raises [Invalid_argument] on a positions/values length
-    mismatch. *)
+    insert/replace/delete/evict/expire. Buckets group rows by
+    {!Value.hash_key} of those fields and the probe filters a bucket
+    with {!Value.equal}, so cross-kind matches ([VInt]/[VId]/[VFloat],
+    [VStr]/[VAddr]) are found exactly as a scan finds them.
+    [positions = []] is a full scan. Raises [Invalid_argument] on a
+    positions/values length mismatch. *)
 val probe : t -> now:float -> positions:int list -> values:Value.t list -> Tuple.t list
 
 (** Position sets currently carrying an index (introspection/tests). *)

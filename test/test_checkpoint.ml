@@ -55,7 +55,7 @@ let test_roundtrip () =
       Alcotest.(check string) "tuple name" "bestSucc" m.Wire.name;
       Alcotest.(check bool) "fields preserved" true
         (m.Wire.fields
-        = [ Value.VStr "n1"; Value.VInt 42; Value.VStr "n2" ])
+        = [| Value.VStr "n1"; Value.VInt 42; Value.VStr "n2" |])
 
 let test_numbering_and_latest () =
   let dir = tmpdir () in

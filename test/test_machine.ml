@@ -44,7 +44,7 @@ let make_harness ?(tables = []) ?mode () =
         (fun ~dst:_ name fields ->
           let h = Option.get !h_ref in
           h.next_id <- h.next_id + 1;
-          Tuple.make ~id:h.next_id name fields);
+          Tuple.make_arr ~id:h.next_id name fields);
       emit = (fun ~delete tuple -> emitted := (delete, tuple) :: !emitted);
       charge = (fun _ -> ());
       rule_executed = (fun () -> ());
@@ -325,6 +325,24 @@ let test_probe_matches_scan () =
   Alcotest.(check int) "five results" 5 (List.length probed);
   Alcotest.(check (list string)) "probe = scan, same order" scanned probed
 
+(* A join bound by a float must find int rows through the index just
+   as the scan path does: probes match under Value.equal, where
+   [VFloat 2.] equals [VInt 2]. *)
+let test_probe_float_binds_int_rows () =
+  let run use_probe =
+    let h = make_harness ~tables:[ ("a", [ 1; 2 ]) ] () in
+    Machine.set_use_probe h.machine use_probe;
+    let s = strand ~tables:[ "a" ] h "r out@N(X, Y) :- ev@N(X), a@N(X, Y)." in
+    put h "a" [ addr "n"; vi 2; vi 20 ];
+    put h "a" [ addr "n"; vi 3; vi 30 ];
+    put h "a" [ addr "n"; Value.VFloat 2.; vi 21 ];
+    ignore (fire h s "ev" [ addr "n"; Value.VFloat 2. ]);
+    List.map Tuple.to_string (results h)
+  in
+  let probed = run true and scanned = run false in
+  Alcotest.(check int) "int and float rows match" 2 (List.length probed);
+  Alcotest.(check (list string)) "probe = scan, same order" scanned probed
+
 let test_agenda_explosion_guard () =
   let h = make_harness ~tables:[ ("t", []) ] () in
   let s = strand ~tables:[ "t" ] h "r out@N(X) :- ev@N(), t@N(X)." in
@@ -382,6 +400,8 @@ let () =
           Alcotest.test_case "negation existential" `Quick test_negation_existential;
           Alcotest.test_case "negation after join" `Quick test_negation_after_join;
           Alcotest.test_case "probe = scan" `Quick test_probe_matches_scan;
+          Alcotest.test_case "float probe finds int rows" `Quick
+            test_probe_float_binds_int_rows;
         ] );
       ( "aggregates",
         [

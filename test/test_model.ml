@@ -15,8 +15,7 @@ module Model = struct
 
   let create lifetime = { lifetime; rows = [] }
 
-  let key tuple =
-    String.concat "\x00" (List.map Value.canonical_key (Tuple.key_of tuple [ 1; 2 ]))
+  let key tuple = Ref_key.canon (Tuple.key_of tuple [ 1; 2 ])
 
   let expire m now =
     m.rows <- List.filter (fun (_, (_, t0)) -> now -. t0 <= m.lifetime) m.rows

@@ -1,11 +1,14 @@
 (* Model-based checking of the store's secondary-index layer and
    incremental expiry: under randomized insert/replace/delete/evict/
    expire churn (random key specs, lifetimes, caps and probe
-   patterns),
+   patterns, mixed value kinds, clocks that stand still or go back),
 
    - [Table.probe] must be observably equivalent to naive
-     scan-and-match, whether the index was created before the churn
-     (incremental maintenance) or after it (lazy backfill);
+     scan-and-filter under [Value.equal], whether the index was created
+     before the churn (incremental maintenance) or after it (lazy
+     backfill);
+   - primary-key identity must follow the reference canonical key text
+     ([Ref_key]);
    - [Table.tuples] must stay in insertion order;
    - the delta-subscription firing sequence (kinds, payloads and
      subscriber order) must match the reference semantics exactly. *)
@@ -31,10 +34,8 @@ type model = {
   mutable log : (string * string) list;  (* (kind, tuple), reversed *)
 }
 
-let canon parts = String.concat "\x00" (List.map Value.canonical_key parts)
-
 let mkey m tuple =
-  canon
+  Ref_key.canon
     (match m.keyspec with
     | [] -> Tuple.fields tuple
     | ks -> Tuple.key_of tuple ks)
@@ -105,23 +106,35 @@ let mtuples m now =
   mexpire m now;
   List.map (fun r -> Tuple.to_string r.mtuple) m.rows
 
-(* naive scan-and-match: the specification [Table.probe] must meet *)
+(* naive scan-and-filter: the specification [Table.probe] must meet *)
 let mprobe m now positions values =
   mexpire m now;
-  let want = canon values in
   List.filter_map
     (fun r ->
-      if canon (Tuple.key_of r.mtuple positions) = want then
+      if List.for_all2 Value.equal (Tuple.key_of r.mtuple positions) values then
         Some (Tuple.to_string r.mtuple)
       else None)
     m.rows
 
 (* --- randomized operations ------------------------------------------ *)
 
+(* Field values, drawn by index. Cross-kind pairs equal under
+   [Value.equal] ([VInt]/[VId], [VStr]/[VAddr], [VInt]/[VFloat], the
+   signed zeros), floats that print alike but differ ([0.3] and
+   [0.1 +. 0.2]: one primary key, two probe keys), [VInt 0]/[VId 0]/
+   [VFloat 0.] (equality is not transitive there), and lists. *)
+let pool =
+  Value.
+    [|
+      VInt 0; VId 0; VFloat 0.; VFloat (-0.); VInt 1; VId 1; VFloat 1.; VStr "a"; VAddr "a";
+      VStr "b"; VFloat 0.3; VFloat (0.1 +. 0.2); VList [ VInt 1; VStr "a" ];
+      VList [ VId 1; VAddr "a" ]; VList []; VBool true; VNull;
+    |]
+
 type op =
   | Insert of int * int
   | Delete of int * int
-  | DeleteWhere of int  (* parity of the payload field *)
+  | DeleteWhere of int  (* parity of the payload's printed length *)
   | Advance of float
   | Probe of int list * int * int
 
@@ -134,32 +147,35 @@ let gen_config =
       (oneofl [ None; Some 3; Some 6 ])
       (oneofl [ []; [ 1; 2 ]; [ 2 ] ]))
 
+let last = Array.length pool - 1
+
 let gen_ops =
   QCheck.Gen.(
     list_size (int_bound 80)
       (frequency
          [
-           (6, map2 (fun k v -> Insert (k, v)) (int_bound 6) (int_bound 4));
-           (2, map2 (fun k v -> Delete (k, v)) (int_bound 6) (int_bound 4));
+           (6, map2 (fun k v -> Insert (k, v)) (int_bound last) (int_bound last));
+           (2, map2 (fun k v -> Delete (k, v)) (int_bound last) (int_bound last));
            (1, map (fun p -> DeleteWhere p) (int_bound 1));
-           (3, map (fun dt -> Advance (float_of_int dt /. 2.)) (int_bound 8));
+           (* zero and negative steps: equal stamps and a clock going back *)
+           (3, map (fun dt -> Advance (float_of_int dt /. 2.)) (int_range (-4) 8));
            ( 3,
              map2
                (fun (k, v) i -> Probe (List.nth probe_sets i, k, v))
-               (pair (int_bound 6) (int_bound 4))
+               (pair (int_bound last) (int_bound last))
                (int_bound (List.length probe_sets - 1)) );
          ]))
 
 let gen_case = QCheck.Gen.pair gen_config gen_ops
 
-let mk_tuple k v = Tuple.make "t" [ Value.VAddr "n"; Value.VInt k; Value.VInt v ]
+let mk_tuple k v = Tuple.make "t" [ Value.VAddr "n"; pool.(k); pool.(v) ]
 
 let probe_values positions k v =
   List.map
     (function
-      | 1 -> Value.VAddr "n"
-      | 2 -> Value.VInt k
-      | 3 -> Value.VInt v
+      | 1 -> if k land 1 = 0 then Value.VAddr "n" else Value.VStr "n"
+      | 2 -> pool.(k)
+      | 3 -> pool.(v)
       | _ -> Value.VNull)
     positions
 
@@ -197,7 +213,7 @@ let run_case ~pre_index ((lifetime, cap, keyspec), ops) =
           ignore (Table.delete table ~now:!now (mk_tuple k v));
           mdelete model !now (mk_tuple k v)
       | DeleteWhere p ->
-          let pred tu = Value.as_int (Tuple.field tu 3) land 1 = p in
+          let pred tu = String.length (Value.to_string (Tuple.field tu 3)) land 1 = p in
           ignore (Table.delete_where table ~now:!now pred);
           mdelete_where model !now pred
       | Advance dt -> now := !now +. dt
@@ -214,16 +230,25 @@ let run_case ~pre_index ((lifetime, cap, keyspec), ops) =
   check (List.map Tuple.to_string (Table.tuples table ~now:!now) = mtuples model !now);
   List.iter
     (fun positions ->
-      for k = 0 to 6 do
-        for v = 0 to 4 do
-          let values = probe_values positions k v in
-          let got =
-            Table.probe table ~now:!now ~positions ~values
-            |> List.map Tuple.to_string
-          in
-          check (got = mprobe model !now positions values)
-        done
-      done)
+      (* every key value alone, every payload value alone, and a
+         sample of the pairs *)
+      let ks, vs =
+        match positions with
+        | [ 3 ] -> ([ 0 ], List.init (last + 1) Fun.id)
+        | [ 2; 3 ] -> (List.init (last + 1) Fun.id, [ 0; 2; 5; 8; 11; 13 ])
+        | _ -> (List.init (last + 1) Fun.id, [ 0 ])
+      in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun v ->
+              let values = probe_values positions k v in
+              let got =
+                Table.probe table ~now:!now ~positions ~values |> List.map Tuple.to_string
+              in
+              check (got = mprobe model !now positions values))
+            vs)
+        ks)
     probe_sets;
   let expected_log =
     List.rev model.log
@@ -255,8 +280,9 @@ let test_index_created () =
     (Table.probe table ~now:0. ~positions:[ 2 ] ~values:[ Value.VInt 7 ]);
   Alcotest.(check int) "still two" 2 (List.length (Table.indexed_positions table))
 
-(* VStr/VAddr and VInt/VId must collide in index buckets exactly as
-   they do under Value.equal (same canonicalization as primary keys). *)
+(* Index probes match under Value.equal: VStr/VAddr, VInt/VId and
+   VInt/VFloat all collide, though a float never shares a primary key
+   with an int. *)
 let test_index_key_identity () =
   let table = Table.create ~keys:[ 1; 2 ] "t" in
   ignore
@@ -272,7 +298,33 @@ let test_index_key_identity () =
   let got =
     Table.probe table ~now:0. ~positions:[ 2 ] ~values:[ Value.VInt 5 ]
   in
-  Alcotest.(check int) "int probe finds id row" 1 (List.length got)
+  Alcotest.(check int) "int probe finds id row" 1 (List.length got);
+  ignore
+    (Table.insert table ~now:0.
+       (Tuple.make "t" [ Value.VAddr "n"; Value.VInt 2; Value.VInt 3 ]));
+  ignore
+    (Table.insert table ~now:0.
+       (Tuple.make "t" [ Value.VAddr "n"; Value.VFloat 2.; Value.VInt 4 ]));
+  Alcotest.(check int) "float and int keys are distinct rows" 4 (Table.size table ~now:0.);
+  let probe v = List.length (Table.probe table ~now:0. ~positions:[ 2 ] ~values:[ v ]) in
+  Alcotest.(check int) "float probe finds int and float rows" 2 (probe (Value.VFloat 2.));
+  Alcotest.(check int) "int probe finds int and float rows" 2 (probe (Value.VInt 2))
+
+(* Eviction among equal stamps takes the lowest seq; a refresh at the
+   tail's stamp does not make an older row younger than newer ones;
+   a clock that goes back makes the backdated row the oldest. *)
+let test_evict_equal_stamps () =
+  let run steps =
+    let table = Table.create ~max_size:2 ~keys:[ 2 ] "t" in
+    List.iter (fun (now, k) -> ignore (Table.insert table ~now (mk_tuple k 0))) steps;
+    List.map (fun tu -> Value.to_string (Tuple.field tu 2)) (Table.tuples table ~now:10.)
+  in
+  let check name want steps = Alcotest.(check (list string)) name want (run steps) in
+  (* pool: 4 = VInt 1, 7 = VStr "a", 9 = VStr "b" *)
+  check "equal stamps evict lowest seq" [ "\"a\""; "\"b\"" ] [ (0., 4); (0., 7); (0., 9) ];
+  check "refresh at the same stamp stays oldest" [ "\"a\""; "\"b\"" ]
+    [ (1., 4); (2., 7); (2., 4); (2., 9) ];
+  check "backdated row is evicted first" [ "1"; "\"b\"" ] [ (5., 4); (3., 7); (3., 9) ]
 
 let () =
   Alcotest.run "table_index"
@@ -283,5 +335,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_lazy_index_equals_scan;
           Alcotest.test_case "index creation" `Quick test_index_created;
           Alcotest.test_case "index key identity" `Quick test_index_key_identity;
+          Alcotest.test_case "eviction among equal stamps" `Quick test_evict_equal_stamps;
         ] );
     ]

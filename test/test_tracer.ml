@@ -214,7 +214,7 @@ let test_ground_truth_matches () =
       create_tuple =
         (fun ~dst name fields ->
           incr next_id;
-          let t = Tuple.make ~id:!next_id name fields in
+          let t = Tuple.make_arr ~id:!next_id name fields in
           Tracer.register_tuple tr t ~src:"n" ~src_id:!next_id ~dst;
           t);
       emit = (fun ~delete:_ _ -> ());

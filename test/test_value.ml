@@ -100,8 +100,11 @@ let test_size_bytes () =
     (Value.size_bytes (Value.VList [ Value.VInt 1; Value.VInt 2 ])
     > Value.size_bytes (Value.VList [ Value.VInt 1 ]))
 
+(* The canonical key text, now the store tests' reference model of
+   primary-key identity (test/ref_key.ml). *)
 let test_canonical_key () =
   let open Value in
+  let canonical_key = Ref_key.canonical_key in
   Alcotest.(check string) "str/addr collide" (canonical_key (VStr "x"))
     (canonical_key (VAddr "x"));
   Alcotest.(check string) "int/id collide" (canonical_key (VInt 5))
@@ -128,7 +131,7 @@ let prop_equal_implies_same_key =
   in
   QCheck.Test.make ~name:"equal implies same canonical key" ~count:300
     (QCheck.make pairs) (fun (a, b) ->
-      Value.equal a b && Value.canonical_key a = Value.canonical_key b)
+      Value.equal a b && Ref_key.canonical_key a = Ref_key.canonical_key b)
 
 (* --- structural hashing: cross-equal numerics and collision chains --- *)
 

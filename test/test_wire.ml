@@ -26,7 +26,7 @@ let roundtrip ?(delete = false) ?(seq = 0) ?(ack = 0) tuple =
   Alcotest.(check string) "name" (Tuple.name tuple) m.Wire.name;
   Alcotest.(check bool) "delete" delete m.Wire.delete;
   Alcotest.(check int) "src id" (Tuple.id tuple) m.Wire.src_tuple_id;
-  Alcotest.(check (list v)) "fields" (Tuple.fields tuple) m.Wire.fields
+  Alcotest.(check (array v)) "fields" (Tuple.fields tuple |> Array.of_list) m.Wire.fields
 
 let test_simple () =
   roundtrip
@@ -186,8 +186,8 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip" ~count:500 arb_tuple (fun tuple ->
       let m = data_of (Wire.decode (Wire.encode tuple)) in
       m.Wire.name = Tuple.name tuple
-      && List.length m.Wire.fields = Tuple.arity tuple
-      && List.for_all2 value_eq m.Wire.fields (Tuple.fields tuple))
+      && Array.length m.Wire.fields = Tuple.arity tuple
+      && List.for_all2 value_eq (Array.to_list m.Wire.fields) (Tuple.fields tuple))
 
 (* --- the full-message property: flags, source id, edge values --- *)
 
@@ -250,13 +250,57 @@ let prop_message_roundtrip =
       && m.Wire.name = Tuple.name tuple
       && m.Wire.delete = delete
       && m.Wire.src_tuple_id = Tuple.id tuple
-      && List.length m.Wire.fields = Tuple.arity tuple
-      && List.for_all2 value_eq m.Wire.fields (Tuple.fields tuple))
+      && Array.length m.Wire.fields = Tuple.arity tuple
+      && List.for_all2 value_eq (Array.to_list m.Wire.fields) (Tuple.fields tuple))
 
 let prop_size_matches =
   QCheck.Test.make ~name:"wire size = encoded length" ~count:300 arb_message
     (fun (tuple, delete, _, _) ->
       Wire.size ~delete tuple = String.length (Wire.encode ~delete tuple))
+
+(* [Wire.size] is arithmetic: it must agree with the real encoding on
+   every value kind, nested lists and strings up to and past the 64 KiB
+   limit, where both must raise. *)
+let gen_sized_value =
+  let open QCheck.Gen in
+  let long = string_size (oneof [ int_range 250 300; int_range 0xfff0 0x10010 ]) in
+  sized_size (int_bound 8) @@ fix (fun self n ->
+      let leaf =
+        frequency
+          [
+            (2, map (fun i -> Value.VInt i) int);
+            (1, map (fun i -> Value.VId i) (int_bound (Value.Ring.space - 1)));
+            (1, map (fun f -> Value.VFloat f) float);
+            (1, map (fun b -> Value.VBool b) bool);
+            (1, return Value.VNull);
+            (2, map (fun s -> Value.VStr s) (string_size (int_bound 20)));
+            (2, map (fun s -> Value.VAddr s) (string_size (int_bound 20)));
+            (1, map (fun s -> Value.VStr s) long);
+          ]
+      in
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun vs -> Value.VList vs) (list_size (int_bound 5) (self (n / 2))));
+          ])
+
+let prop_size_arithmetic =
+  QCheck.Test.make ~name:"wire size = encoded length, every kind" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple bool (string_size ~gen:(char_range 'a' 'z') (int_range 1 10))
+            (list_size (int_bound 6) gen_sized_value)))
+    (fun (delete, name, fields) ->
+      let tuple = Tuple.make ~id:3 name fields in
+      match Wire.encode ~delete tuple with
+      | frame -> Wire.size ~delete tuple = String.length frame
+      | exception Wire.Error _ -> (
+          match Wire.size ~delete tuple with
+          | _ -> false
+          | exception Wire.Error _ -> true))
 
 (* --- delta-batch frames (kind 3) --- *)
 
@@ -264,8 +308,8 @@ let check_message (delete, tuple) (m : Wire.message) =
   m.Wire.name = Tuple.name tuple
   && m.Wire.delete = delete
   && m.Wire.src_tuple_id = Tuple.id tuple
-  && List.length m.Wire.fields = Tuple.arity tuple
-  && List.for_all2 value_eq m.Wire.fields (Tuple.fields tuple)
+  && Array.length m.Wire.fields = Tuple.arity tuple
+  && List.for_all2 value_eq (Array.to_list m.Wire.fields) (Tuple.fields tuple)
 
 let test_batch_roundtrip () =
   let items =
@@ -412,6 +456,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_message_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_matches;
+          QCheck_alcotest.to_alcotest prop_size_arithmetic;
         ] );
       ( "batch",
         [
